@@ -3,9 +3,7 @@
 Reports are JSON objects {command, params, results, checks} (CSV for the
 tabular studies).  A run exits 0 when every mathematical check passed,
 2 when one failed (the failing quantity is named in the report), and 1 on
-usage errors.  Identical config and seed produce byte-identical payloads;
-the FRAMEKIT_THREADS environment variable caps fan-out across parameter
-ranges (default 1).
+usage errors.  Identical config and seed produce byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -14,9 +12,8 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -117,23 +114,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FRAMEKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_levels(fn, levels):
-    """Apply fn over hierarchy depths, optionally fanning out across threads."""
-    workers = _thread_count()
-    if workers == 1 or len(levels) <= 1:
-        return [fn(j) for j in levels]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, levels))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -337,7 +317,7 @@ def _cmd_bpx(cfg: RunConfig, rng):
             "kappa_single": float(w[-1] / w[0]),
         }
 
-    rows_data = _map_levels(one, list(levels))
+    rows_data = [one(j) for j in levels]
     results = {"q": cfg.q, "rows": rows_data}
     ratios = [r["ratio"] for r in rows_data]
     checks = []
@@ -677,6 +657,10 @@ def config_from_args(argv) -> RunConfig:
     ns = parser.parse_args(argv)
     if ns.command is None:
         raise UsageError("a subcommand is required")
+    if ns.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {ns.samples}")
+    if not (math.isfinite(ns.tol) and ns.tol > 0.0):
+        raise UsageError(f"--tol must be a finite positive number, got {ns.tol}")
     levels: tuple[int, ...] = ()
     if ns.j_levels:
         levels = parse_level_range(ns.j_levels)

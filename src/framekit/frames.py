@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IncompatiblePairing, NotAFrame
 from .numerics import (
@@ -47,7 +48,12 @@ class ColumnLabel:
 
 @dataclass(frozen=True, eq=False)
 class _ElementCollection:
-    """Shared storage for primal and dual collections: an n x k column matrix."""
+    """Shared storage for primal and dual collections: an n x k column matrix.
+
+    ``elements`` is always a dense read-only array.  A collection built
+    from a scipy.sparse matrix also keeps its columns as CSR, and the
+    products E v and E E^T then run sparse (see ``csr_columns``).
+    """
 
     triple: DiscreteGelfandTriple
     elements: np.ndarray
@@ -55,7 +61,11 @@ class _ElementCollection:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        e = np.array(self.elements, dtype=float)
+        if sp.issparse(self.elements):
+            self._cache["built_csr"] = sp.csr_array(self.elements, dtype=float)
+            e = self._cache["built_csr"].toarray()
+        else:
+            e = np.array(self.elements, dtype=float)
         if e.ndim != 2:
             raise ValueError("elements must be a 2-d array (columns are members)")
         if e.shape[0] != self.triple.n:
@@ -93,13 +103,14 @@ class _ElementCollection:
 
     @property
     def spans(self) -> bool:
-        return self.rank == self.n
+        """True when the columns span R^n.
 
-    def _frame_operator_solver(self):
-        """Cached solver for S = E E^T (the factorization travels with the collection)."""
-        if "sop" not in self._cache:
-            self._cache["sop"] = spd_solver(self.elements @ self.elements.T)
-        return self._cache["sop"]
+        A verdict recorded at construction, for collections that span by
+        construction, is returned as is; otherwise the SVD rank test decides.
+        """
+        if "spans" not in self._cache:
+            self._cache["spans"] = self.rank == self.n
+        return self._cache["spans"]
 
 
 class FrameSpec(_ElementCollection):
@@ -192,11 +203,40 @@ def synthesis(spec: AnySpec, coefficients) -> Union[PrimalVector, DualVector]:
     return DualVector(out)
 
 
+def csr_columns(spec: AnySpec) -> sp.csr_array:
+    """The column matrix E as CSR.
+
+    A collection built sparse returns the columns it was built from; any
+    other is converted once and the conversion is cached.
+    """
+    cache = spec._cache
+    if "built_csr" in cache:
+        return cache["built_csr"]
+    if "csr" not in cache:
+        cache["csr"] = sp.csr_array(spec.elements)
+    return cache["csr"]
+
+
 def frame_operator_matrix(spec: AnySpec) -> np.ndarray:
-    """Matrix of S = D C in the triple's representations (E E^T)."""
+    """Matrix of S = D C in the triple's representations (E E^T).
+
+    Formed from the CSR columns when the collection was built sparse;
+    a collection built from a dense array keeps the dense BLAS product.
+    """
     if "smat" not in spec._cache:
-        spec._cache["smat"] = spec.elements @ spec.elements.T
+        if "built_csr" in spec._cache:
+            e = spec._cache["built_csr"]
+            spec._cache["smat"] = (e @ e.T).toarray()
+        else:
+            spec._cache["smat"] = spec.elements @ spec.elements.T
     return spec._cache["smat"]
+
+
+def _frame_operator_solver(spec: AnySpec):
+    """Cached solver for S = E E^T (the factorization travels with the collection)."""
+    if "sop" not in spec._cache:
+        spec._cache["sop"] = spd_solver(frame_operator_matrix(spec))
+    return spec._cache["sop"]
 
 
 def frame_operator_apply(spec: AnySpec, vec) -> Union[PrimalVector, DualVector]:
@@ -233,7 +273,7 @@ def dual_frame(spec: AnySpec) -> AnySpec:
     frame.  Raises NotAFrame when the collection does not span.
     """
     _require_spans(spec)
-    solver = spec._frame_operator_solver()
+    solver = _frame_operator_solver(spec)
     dual_elements = solver(spec.elements)
     if isinstance(spec, FrameSpec):
         return DualFrameSpec(spec.triple, dual_elements, spec.labels)
@@ -276,7 +316,7 @@ def min_norm_coefficients(frame: FrameSpec, f: PrimalVector) -> np.ndarray:
         raise IncompatiblePairing(f"expected PrimalVector, got {type(f).__name__}")
     if len(f) != frame.n:
         raise DimensionMismatch(f"vector has size {len(f)}, frame rows {frame.n}")
-    solver = frame._frame_operator_solver()
+    solver = _frame_operator_solver(frame)
     return frame.elements.T @ solver(f.coeffs)
 
 

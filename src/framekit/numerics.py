@@ -1,9 +1,13 @@
 """Dense symmetric linear-algebra kernels used by every other module.
 
-Everything here is deliberately dense: problem sizes stay at desk scale
-(around 10^4 unknowns or less), and transparent kernels are easier to
-cross-check than sparse ones.  All operations are pure functions of
-immutable inputs and are safe to call concurrently.
+The kernels here are dense: problem sizes stay at desk scale (around
+10^4 unknowns or less), and transparent kernels are easier to
+cross-check.  The sparse layers sit above them: CSR prolongations,
+level embeddings and multilevel frame columns (multiscale), E E^T of
+sparse-built frames (frames), and the Poisson operator's CSR form with
+the matrix-free frame-Galerkin action (operator_repr).  ``cg_solve``
+takes the operator as a callable, so it serves both.  All operations are
+pure functions of immutable inputs and are safe to call concurrently.
 """
 
 from __future__ import annotations

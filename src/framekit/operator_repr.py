@@ -6,7 +6,9 @@ coefficients to dual actions, entry (i, j) = <O b_j, b_i>.  Its
 representation in a frame is M = E_test^T L E_ansatz; solving the
 (possibly singular but consistent) system M u = C_Psi b by zero-start
 conjugate gradients recovers the minimal-norm coefficient vector, i.e.
-the analysis of the solution with the canonical dual frame.
+the analysis of the solution with the canonical dual frame.  The solver
+never assembles M: it applies E^T L E through the CSR forms of the frame
+columns and of the operator matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Union
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, NotAFrame, SingularOperator
 from .frames import (
@@ -25,6 +28,7 @@ from .frames import (
     FrameSpec,
     analysis,
     cross_gramian,
+    csr_columns,
     dual_frame,
     frame_bounds,
     frame_operator_matrix,
@@ -68,6 +72,13 @@ class OperatorSpec:
     def inverse_apply(self, g: DualVector) -> PrimalVector:
         """Solve O u = g; available only for nonsingular operator matrices."""
         return PrimalVector(_solve_nonsingular(self, g.action))
+
+
+def _csr_matrix(op: "OperatorSpec") -> sp.csr_array:
+    """The operator matrix as CSR: kept from construction, else converted once and cached."""
+    if "csr" not in op._cache:
+        op._cache["csr"] = sp.csr_array(op.matrix)
+    return op._cache["csr"]
 
 
 def _solve_nonsingular(op: "OperatorSpec", rhs: np.ndarray) -> np.ndarray:
@@ -131,11 +142,26 @@ def poisson_operator(triple: DiscreteGelfandTriple) -> OperatorSpec:
     """The Dirichlet Laplacian as an operator H^1_0 -> H^-1.
 
     Requires a triple built with q = 1 so that the energy norm is the
-    space norm; then continuity and ellipticity are both exactly 1.
+    space norm; then continuity and ellipticity are both exactly 1: the
+    inner matrix is the stiffness matrix itself, so every eigenvalue of
+    the (L, inner) pencil is 1 and no eigensolve is needed.  The CSR form
+    comes from the closed-form tridiagonal (-1, 2, -1)/h.
     """
     if triple.q != 1.0:
         raise DomainError(f"poisson_operator needs a q = 1 triple, got q = {triple.q}")
-    return make_operator(triple, triple.stiffness.a)
+    op = OperatorSpec(
+        triple=triple,
+        matrix=triple.stiffness.a,
+        symmetric=True,
+        elliptic=True,
+        continuity=1.0,
+        ellipticity=1.0,
+    )
+    off = np.full(triple.n - 1, -1.0 / triple.h)
+    op._cache["csr"] = sp.diags_array(
+        [off, np.full(triple.n, 2.0 / triple.h), off], offsets=(-1, 0, 1), format="csr"
+    )
+    return op
 
 
 def operator_norm(op: OperatorSpec) -> float:
@@ -322,20 +348,29 @@ def galerkin_solve(
 ) -> GalerkinSolution:
     """Solve O u = b by testing and expanding in the same frame.
 
-    Assembles M = Psi^T L Psi and the load vector C_Psi b, then runs
-    zero-start conjugate gradients.  The system is singular whenever the
-    frame is redundant, but it is consistent, and the zero start makes CG
-    converge to the minimal-norm coefficients <u, dual_k>.
+    Forms the load vector C_Psi b and runs zero-start conjugate gradients
+    on M = Psi^T L Psi, applied matrix-free as v -> E^T (L (E v)) with
+    the CSR frame columns and operator matrix.  The system is singular
+    whenever the frame is redundant, but it is consistent, and the zero
+    start makes CG converge to the minimal-norm coefficients <u, dual_k>.
     """
     if not (op.symmetric and op.elliptic):
         raise DomainError("galerkin_solve requires a symmetric elliptic operator")
     if not f.spans:
         raise NotAFrame(f"collection has rank {f.rank} < dimension {f.n}")
-    m = matrix_representation(f, f, op)
+    if f.n != op.triple.n:
+        raise DimensionMismatch("frame and operator live on different dimensions")
+    e = csr_columns(f)
+    e_t = e.T
+    lmat = _csr_matrix(op)
+
+    def apply_m(v: np.ndarray) -> np.ndarray:
+        return e_t @ (lmat @ (e @ v))
+
     rhs = analysis(f, b)
-    coeffs, iterations = cg_solve(lambda v: m @ v, rhs, tol=tol, maxit=maxit)
+    coeffs, iterations = cg_solve(apply_m, rhs, tol=tol, maxit=maxit)
     nb = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(m @ coeffs - rhs)) / nb if nb > 0 else 0.0
+    residual = float(np.linalg.norm(apply_m(coeffs) - rhs)) / nb if nb > 0 else 0.0
     u = synthesis(f, coeffs)
     return GalerkinSolution(
         coefficients=coeffs, solution=u, iterations=iterations, residual=residual

@@ -26,6 +26,8 @@ def _frozen_vector(values) -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("expected a 1-d array of values")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite (got NaN or inf)")
     v.setflags(write=False)
     return v
 

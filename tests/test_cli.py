@@ -47,6 +47,18 @@ class TestParsing:
     def test_bad_domain_parameter_is_usage_error(self):
         assert main(["norm-equiv", "--q", "0", "--J", "2"]) == 1
 
+    def test_zero_samples_is_usage_error(self, tmp_path):
+        for command in ("norm-equiv", "dual"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--samples", "0", "--output", str(out)]) == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
+        out = tmp_path / "report.json"
+        assert main(["solve-poisson", "--J", "2", "--tol", tol, "--output", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_bounds_byte_identical(self, tmp_path):
@@ -66,13 +78,6 @@ class TestDeterminism:
         _, b1 = run_to_file(tmp_path, base + ["--seed", "1"], "a.json")
         _, b2 = run_to_file(tmp_path, base + ["--seed", "2"], "b.json")
         assert b1 != b2
-
-    def test_thread_fanout_keeps_payload(self, tmp_path, monkeypatch):
-        argv = ["bpx", "--q", "1", "--J", "2..4"]
-        _, serial = run_to_file(tmp_path, argv, "a.json")
-        monkeypatch.setenv("FRAMEKIT_THREADS", "3")
-        _, fanned = run_to_file(tmp_path, argv, "b.json")
-        assert serial == fanned
 
 
 class TestSchemas:

@@ -317,6 +317,14 @@ class TestGalerkinSolve:
         diff = primal_norm(t, PrimalVector(base.coeffs - again.coeffs))
         assert diff <= 1e-7 * primal_norm(t, base)
 
+    def test_nan_load_is_rejected_before_any_iteration(self):
+        # the load must fail at construction, not after maxit CG iterations
+        frame, op, t = bpx_setup(3)
+        action = manufactured_sine_load(t).action.copy()
+        action[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            galerkin_solve(frame, op, DualVector(action))
+
     def test_galerkin_orthogonality(self):
         hy = build_hierarchy(4)
         t = hy.fine_triple(1.0)

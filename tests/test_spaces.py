@@ -178,6 +178,17 @@ class TestPairing:
             pairing(DualVector([1.0, 2.0]), PrimalVector([1.0, 2.0, 3.0]))
 
 
+class TestVectorConstruction:
+    def test_nan_dual_vector_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DualVector([1.0, np.nan, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_primal_vector_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PrimalVector([0.0, bad])
+
+
 class TestRieszMaps:
     def test_round_trip(self):
         t = build_triple(4, 0.5)
