@@ -45,7 +45,7 @@ from .operator_repr import (
     poisson_operator,
     pseudo_inverse_identity_check,
 )
-from .spaces import DualVector, PrimalVector, build_triple, primal_norm
+from .spaces import DualVector, PrimalVector, build_triple, primal_norm, stiffness_condition_number
 from .frames import min_norm_coefficients
 
 COMMANDS = (
@@ -305,16 +305,13 @@ def _cmd_bpx(cfg: RunConfig, rng):
 
     def one(j):
         hy = build_hierarchy(j)
-        frame = bpx_frame(hy, cfg.q)
-        b = frame_bounds(frame)
-        stiff = hy.fine_triple(1.0).stiffness.a
-        w = np.linalg.eigvalsh(stiff)
+        b = frame_bounds(bpx_frame(hy, cfg.q))
         return {
             "J": j,
             "lower": b.lower,
             "upper": b.upper,
             "ratio": b.ratio,
-            "kappa_single": float(w[-1] / w[0]),
+            "kappa_single": stiffness_condition_number(hy.dims[j]),
         }
 
     rows_data = [one(j) for j in levels]

@@ -9,12 +9,12 @@ Prolongations, level embeddings and the multilevel frame columns are
 sparse (CSR): a fine node lies in at most two hats of any level, so E_j
 has at most two nonzeros per row.  Their entries are exact dyadic values,
 and the dense views (``embed_matrix``, ``FrameSpec.elements``) equal the
-dense product chain bit for bit.  The triples stay dense.
+dense product chain bit for bit.  The triples stay dense; their pencil
+spectra are closed-form (spaces), so the Bernstein rates solve no pencil.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError
 from .frames import ColumnLabel, FrameSpec
-from .numerics import generalized_eigs
 from .spaces import GAMMA, DiscreteGelfandTriple, DualVector, PrimalVector, build_triple
 
 APPROXIMATION_ORDER = 2  # piecewise-linear hats reproduce polynomials up to degree 1
@@ -172,13 +171,6 @@ class RateReport:
             "fit_window": list(self.fit_window),
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("level,value,slope\n")
-        for j, v in zip(self.levels, self.values):
-            buf.write(f"{j},{v!r},{self.slope!r}\n")
-        return buf.getvalue()
-
 
 def _fit_report(levels, values, fit_lo: int, fit_hi: int) -> RateReport:
     levels = tuple(int(j) for j in levels)
@@ -227,15 +219,13 @@ def bernstein_rate(hy: MultiscaleHierarchy, q: float, fit_lo: int = 2) -> RateRe
     """Largest Rayleigh quotient ||v||_{H^q}^2 / ||v||_{L^2}^2 over V_j, per level.
 
     Grows like 2^(2jq): factor 4 per level for q = 1, factor 2 for
-    q = 1/2, and identically 1 for q = 0.
+    q = 1/2, and identically 1 for q = 0.  The value is the largest
+    eigenvalue of the level triple's (inner, mass) pencil, read from the
+    spectrum the grid triple records in closed form (``spectrum``).
     """
     if not 0.0 <= q < hy.gamma:
         raise DomainError(f"q must lie in [0, {hy.gamma}), got {q}")
-    values = []
-    for j in hy.levels:
-        t = hy.level_triple(j, q)
-        spectrum = generalized_eigs(t.inner, t.mass)
-        values.append(spectrum.max)
+    values = [hy.level_triple(j, q).spectrum().max for j in hy.levels]
     return _fit_report(hy.levels, values, fit_lo, hy.j_max)
 
 

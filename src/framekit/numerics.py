@@ -81,6 +81,14 @@ class PencilSpectrum:
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
 
+    @classmethod
+    def from_eigenvalues(cls, eigenvalues) -> "PencilSpectrum":
+        """Spectrum of ascending eigenvalues, its rank counted with the cutoff above."""
+        w = np.asarray(eigenvalues, dtype=float)
+        wmax = float(w[-1]) if w.size else 0.0
+        rank = int(np.count_nonzero(w > max(wmax, 0.0) * RANK_RTOL))
+        return cls(eigenvalues=w, rank=rank)
+
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
@@ -172,10 +180,7 @@ def generalized_eig_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
 def generalized_eigs(a, b) -> PencilSpectrum:
     """Spectrum of the pencil A x = lambda B x (see generalized_eig_pairs)."""
     w, _ = generalized_eig_pairs(a, b)
-    wmax = float(w[-1]) if w.size else 0.0
-    cutoff = max(wmax, 0.0) * RANK_RTOL
-    rank = int(np.count_nonzero(w > cutoff))
-    return PencilSpectrum(eigenvalues=w, rank=rank)
+    return PencilSpectrum.from_eigenvalues(w)
 
 
 def cg_solve(

@@ -13,7 +13,6 @@ columns and of the operator matrix.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -44,7 +43,7 @@ from .numerics import (
     pseudo_inverse,
     solve_spd,
 )
-from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector
+from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector, stiffness_condition_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,20 +460,6 @@ class ConditioningStudy:
             ],
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(
-            "J,fine_dim,columns,lower,upper,ratio,kappa_single,"
-            "iterations_multilevel,iterations_single\n"
-        )
-        for r in self.rows:
-            buf.write(
-                f"{r.level},{r.fine_dim},{r.columns},{r.lower!r},{r.upper!r},"
-                f"{r.ratio!r},{r.kappa_single!r},"
-                f"{r.iterations_multilevel},{r.iterations_single}\n"
-            )
-        return buf.getvalue()
-
 
 # Iteration counts are probed with a seeded Gaussian load: a smooth load can
 # be (nearly) an eigenvector of the discrete Laplacian, collapsing the
@@ -491,8 +476,6 @@ def conditioning_row(j_max: int, q: float = 1.0, tol: float = 1e-8) -> Condition
     triple = hy.fine_triple(q)
     op = poisson_operator(triple)
     bounds = frame_bounds(frame)
-    stiff_w = np.linalg.eigvalsh(triple.stiffness.a)
-    kappa_single = float(stiff_w[-1] / stiff_w[0])
     probe = DualVector(
         np.random.default_rng(PROBE_SEED + j_max).standard_normal(triple.n)
     )
@@ -505,7 +488,7 @@ def conditioning_row(j_max: int, q: float = 1.0, tol: float = 1e-8) -> Condition
         lower=bounds.lower,
         upper=bounds.upper,
         ratio=bounds.ratio,
-        kappa_single=kappa_single,
+        kappa_single=stiffness_condition_number(triple.n),
         iterations_multilevel=sol.iterations,
         iterations_single=iters_single,
     )
@@ -536,7 +519,11 @@ def effective_condition_number(m) -> float:
 
 
 def direct_solution(op: OperatorSpec, b: DualVector) -> PrimalVector:
-    """Reference fine-grid solve of O u = b (SPD path)."""
+    """Reference fine-grid solve of O u = b (SPD path).
+
+    The matrix goes to the Cholesky solve as it is: its symmetry was
+    established when the operator was built, and Cholesky reads one triangle.
+    """
     if not (op.symmetric and op.elliptic):
         raise DomainError("direct_solution requires a symmetric elliptic operator")
-    return PrimalVector(solve_spd(SymMatrix(op.matrix), b.action))
+    return PrimalVector(solve_spd(op.matrix, b.action))

@@ -6,17 +6,27 @@ dual elements by their action <f, b_i> on it.  The two representations are
 deliberately never interconverted by the core algorithms: converting
 requires the H^q Riesz map, which this module exposes only as a test
 oracle (riesz_image / riesz_preimage).
+
+Grid triples are diagonalized in closed form: the hat mass and stiffness
+matrices are tridiagonal Toeplitz, so the discrete sine transform is the
+common eigenbasis of the (stiffness, mass) pencil.  The H^q Gram matrix
+is filled from one DCT-I of its eigenvalues, and the pencil spectrum and
+the stiffness condition number are known formulas; no grid triple runs a
+dense eigensolve.  ``spectral_inner_matrix`` is the generic dense path
+for any pencil and the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, DomainError
-from .numerics import SymMatrix, generalized_eig_pairs, spd_solver
+from .numerics import PencilSpectrum, SymMatrix, generalized_eig_pairs, generalized_eigs, spd_solver
 
 # Piecewise-linear hats belong to H^t only for t < 3/2.
 GAMMA = 1.5
@@ -100,6 +110,16 @@ class DiscreteGelfandTriple:
             self._cache["mass"] = spd_solver(self.mass)
         return self._cache["mass"](rhs)
 
+    def spectrum(self) -> PencilSpectrum:
+        """Spectrum of the (inner, mass) pencil: ||v||_H^2 / ||v||_{L^2}^2 at its eigenvectors.
+
+        Grid triples record it in closed form at construction; synthetic
+        triples solve the pencil on first use and keep the result.
+        """
+        if "spectrum" not in self._cache:
+            self._cache["spectrum"] = generalized_eigs(self.inner, self.mass)
+        return self._cache["spectrum"]
+
 
 def _tridiagonal(n: int, diag: float, off: float) -> np.ndarray:
     a = np.zeros((n, n))
@@ -125,6 +145,62 @@ def spectral_inner_matrix(stiffness, mass, q: float) -> SymMatrix:
     return SymMatrix((mw * lam**q) @ mw.T)
 
 
+def sine_congruence(d) -> np.ndarray:
+    """Q diag(d) Q^T for the sine basis Q_ik = sqrt(2/(n+1)) sin(i k pi/(n+1)).
+
+    Q is the common eigenbasis of every symmetric tridiagonal Toeplitz
+    matrix of size n.  The product is Toeplitz minus Hankel: entry (i, j),
+    1-based, is c[|i - j|] - c[i + j] with
+    c[m] = 1/(n+1) sum_k d_k cos(m k pi/(n+1)), one DCT-I of d, taken as
+    the real FFT of its even extension.  O(n^2) to fill.
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    ext = np.zeros(2 * (n + 1))
+    ext[1 : n + 1] = d
+    ext[n + 2 :] = d[::-1]
+    head = np.fft.rfft(ext).real / (2 * (n + 1))  # c[0..n+1]
+    c = np.concatenate((head, head[-2:0:-1]))  # c[m] = c[2(n+1) - m]
+    out = scipy.linalg.toeplitz(c[:n])
+    out -= scipy.linalg.hankel(c[2 : n + 2], c[n + 1 : 2 * n + 1])
+    return out
+
+
+def _grid_pencil(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the grid stiffness and mass matrices, both on the sine basis.
+
+    With h = 1/(n+1) and theta_k = k pi h: kappa_k = (4/h) sin^2(theta_k/2)
+    and mu_k = (h/3)(2 + cos theta_k), so kappa_k / mu_k ascends in k.
+    """
+    h = 1.0 / (n + 1)
+    theta = np.pi * h * np.arange(1, n + 1)
+    return (4.0 / h) * np.sin(0.5 * theta) ** 2, (h / 3.0) * (2.0 + np.cos(theta))
+
+
+def stiffness_condition_number(n: int) -> float:
+    """kappa_n / kappa_1 = cot^2(pi / (2(n+1))) of the stiffness matrix on n interior nodes."""
+    return float(np.tan(0.5 * np.pi / (n + 1)) ** -2)
+
+
+# A triple holds mass, stiffness and inner as dense n x n float64 arrays.
+# Counting the temporaries of their assembly, the measured peak of
+# build_triple is 5 such arrays for fractional q and 4 for q = 0 or 1.
+DENSE_ARRAYS = 5
+
+
+def _check_fits_in_memory(n: int) -> None:
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare against
+        return
+    needed = DENSE_ARRAYS * 8 * n * n
+    if needed > physical:
+        raise DomainError(
+            f"a triple with {n} nodes needs about {needed / 2**30:.1f} GiB of dense "
+            f"matrices, more than the {physical / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     """Assemble the triple on the dyadic grid of level ``j_fine``.
 
@@ -132,7 +208,11 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     matrices have the exact closed-form tridiagonal entries
     mass = h * (1/6, 2/3, 1/6) and stiffness = (-1, 2, -1)/h.  The H^q
     Gram matrix is the mass matrix for q = 0, the stiffness matrix for
-    q = 1, and the spectral construction otherwise.
+    q = 1, and otherwise Q diag(mu^(1-q) kappa^q) Q^T on the shared sine
+    eigenbasis (``sine_congruence``), which is what
+    ``spectral_inner_matrix`` computes densely.  The (inner, mass) pencil
+    spectrum (kappa/mu)^q is recorded with the triple.  Raises DomainError
+    when the dense matrices would not fit in physical memory.
     """
     if not 1 <= int(j_fine) == j_fine <= 14:
         raise DomainError(f"j_fine must be an integer in [1, 14], got {j_fine}")
@@ -140,17 +220,21 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
         raise DomainError(f"q must lie in [0, 3/2) for piecewise-linear hats, got {q}")
     n = 2**j_fine - 1
     h = 2.0**-j_fine
+    _check_fits_in_memory(n)
     mass = SymMatrix(_tridiagonal(n, 2.0 * h / 3.0, h / 6.0))
     stiffness = SymMatrix(_tridiagonal(n, 2.0 / h, -1.0 / h))
+    kappa, mu = _grid_pencil(n)
     if q == 0.0:
         inner = mass
     elif q == 1.0:
         inner = stiffness
     else:
-        inner = spectral_inner_matrix(stiffness, mass, q)
-    return DiscreteGelfandTriple(
+        inner = SymMatrix(sine_congruence(mu ** (1.0 - q) * kappa**q))
+    triple = DiscreteGelfandTriple(
         n=n, mass=mass, inner=inner, stiffness=stiffness, j_fine=j_fine, h=h, q=float(q)
     )
+    triple._cache["spectrum"] = PencilSpectrum.from_eigenvalues((kappa / mu) ** q)
+    return triple
 
 
 def synthetic_triple(inner, mass=None) -> DiscreteGelfandTriple:

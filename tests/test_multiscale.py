@@ -207,12 +207,6 @@ class TestBernstein:
         with pytest.raises(DomainError):
             bernstein_rate(build_hierarchy(3), 1.5)
 
-    def test_csv_shape(self):
-        report = bernstein_rate(build_hierarchy(3), 1.0)
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "level,value,slope"
-        assert len(lines) == len(report.levels) + 1
-
 
 class TestSingleScale:
     def test_stability_interval_level_independent(self):

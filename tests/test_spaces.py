@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from framekit import cli, spaces
 from framekit.errors import DimensionMismatch, DomainError
 from framekit.spaces import (
     DualVector,
@@ -87,6 +90,25 @@ class TestBuildTriple:
     def test_fractional_q_above_one(self):
         t = build_triple(3, 1.25)
         assert np.linalg.eigvalsh(t.inner.a)[0] > 0.0
+
+    def test_grid_too_large_for_physical_memory_is_a_domain_error(self):
+        # j_fine = 14: three 16383^2 dense matrices, 2 GiB each
+        n = 2**14 - 1
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if physical >= spaces.DENSE_ARRAYS * 8 * n * n:
+            pytest.skip("this machine can hold the j_fine = 14 matrices")
+        with pytest.raises(DomainError, match="physical memory"):
+            build_triple(14, 0.5)
+
+    def test_memory_guard_runs_before_assembly_and_is_a_cli_usage_error(self, monkeypatch, capsys):
+        # pretend to have 4 MiB: a 63-node triple fits, a 511-node one does not
+        pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(spaces.os, "sysconf", pages.__getitem__)
+        assert build_triple(6, 0.5).n == 63
+        with pytest.raises(DomainError, match="physical memory"):
+            build_triple(9, 0.5)
+        assert cli.main(["rates", "--J", "8"]) == 1
+        assert "physical memory" in capsys.readouterr().err
 
 
 class TestNorms:
