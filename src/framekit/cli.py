@@ -4,6 +4,10 @@ Reports are JSON objects {command, params, results, checks} (CSV for the
 tabular studies).  A run exits 0 when every mathematical check passed,
 2 when one failed (the failing quantity is named in the report), and 1 on
 usage errors.  Identical config and seed produce byte-identical payloads.
+
+The configuration is declared once, in ``RunConfig``: each option stores
+into, and takes its default from, the field of its name, and the report's
+params are the fields, renamed where ``PARAM_KEYS`` says so.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,11 +26,11 @@ import numpy as np
 from . import fixtures
 from .errors import DomainError, FramekitError
 from .frames import (
-    analysis,
     cross_gramian,
     dual_frame,
     frame_bounds,
     frame_operator_matrix,
+    min_norm_coefficients,
     reconstruct_dual,
     reconstruct_primal,
     reference_frame,
@@ -37,6 +41,7 @@ from .operator_repr import (
     direct_solution,
     galerkin_solve,
     gram_identity_check,
+    inverse_representation,
     make_operator,
     manufactured_sine_load,
     manufactured_sine_solution,
@@ -46,20 +51,11 @@ from .operator_repr import (
     pseudo_inverse_identity_check,
 )
 from .spaces import DualVector, PrimalVector, build_triple, primal_norm, stiffness_condition_number
-from .frames import min_norm_coefficients
-
-COMMANDS = (
-    "bounds",
-    "dual",
-    "gramian",
-    "rates",
-    "norm-equiv",
-    "bpx",
-    "solve-poisson",
-    "identities",
-)
 
 CSV_COMMANDS = ("rates", "bpx")
+
+# Fields whose report key differs from the field name.
+PARAM_KEYS = {"j_fine": "J_fine", "j_levels": "J", "fmt": "format"}
 
 
 @dataclass
@@ -78,17 +74,11 @@ class RunConfig:
     max_spread: float = 20.0
 
     def params_dict(self) -> dict:
+        """The report's params: every field but command and output, under its report key."""
         return {
-            "J_fine": self.j_fine,
-            "J": list(self.j_levels),
-            "q": self.q,
-            "seed": self.seed,
-            "tol": self.tol,
-            "format": self.fmt,
-            "fixture": self.fixture,
-            "samples": self.samples,
-            "max_ratio": self.max_ratio,
-            "max_spread": self.max_spread,
+            PARAM_KEYS.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("command", "output")
         }
 
 
@@ -101,19 +91,17 @@ def _check(name: str, passed: bool, value, tolerance) -> dict:
 
 
 def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    """``json.dumps`` hook for numpy arrays and scalars (np.float64 is a float and skips it)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _single_depth(cfg: RunConfig, default):
+    """The one hierarchy depth a command runs at; a range is a usage error."""
+    if len(cfg.j_levels) > 1:
+        raise UsageError(f"{cfg.command} runs at one depth, got --J range {cfg.j_levels}")
+    return cfg.j_levels[0] if cfg.j_levels else default
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -221,12 +209,13 @@ def _projector_residuals(frame, rng):
 
 
 def _cmd_gramian(cfg: RunConfig, rng):
+    j = _single_depth(cfg, None)
     if cfg.fixture:
         frame = fixtures.by_name(cfg.fixture)
         source = cfg.fixture.upper()
-    elif cfg.j_levels:
-        frame = bpx_frame(build_hierarchy(cfg.j_levels[0]), cfg.q)
-        source = f"bpx(J={cfg.j_levels[0]}, q={cfg.q})"
+    elif j is not None:
+        frame = bpx_frame(build_hierarchy(j), cfg.q)
+        source = f"bpx(J={j}, q={cfg.q})"
     else:
         frame = fixtures.by_name("F1")
         source = "F1"
@@ -242,7 +231,7 @@ def _growth_band(q: float) -> tuple[float, float]:
 
 
 def _cmd_rates(cfg: RunConfig, rng):
-    j_max = cfg.j_levels[0] if cfg.j_levels else 8
+    j_max = _single_depth(cfg, 8)
     hy = build_hierarchy(j_max)
     jackson = jackson_rate(hy, lambda x: np.sin(np.pi * x))
     bernstein = bernstein_rate(hy, cfg.q)
@@ -271,7 +260,7 @@ def _cmd_rates(cfg: RunConfig, rng):
 
 
 def _cmd_norm_equiv(cfg: RunConfig, rng):
-    j_max = cfg.j_levels[0] if cfg.j_levels else 6
+    j_max = _single_depth(cfg, 6)
     if not 0.0 < cfg.q < 1.5:
         raise DomainError(f"norm-equiv needs 0 < q < 3/2, got {cfg.q}")
     hy = build_hierarchy(j_max)
@@ -302,6 +291,8 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
 
 def _cmd_bpx(cfg: RunConfig, rng):
     levels = cfg.j_levels or tuple(range(2, 8))
+    for j in levels:  # reject a depth past the cap before any bounds are computed
+        build_hierarchy(j)
 
     def one(j):
         hy = build_hierarchy(j)
@@ -346,7 +337,7 @@ def _cmd_bpx(cfg: RunConfig, rng):
 
 
 def _cmd_solve_poisson(cfg: RunConfig, rng):
-    j_max = cfg.j_levels[0] if cfg.j_levels else 6
+    j_max = _single_depth(cfg, 6)
     hy = build_hierarchy(j_max)
     triple = hy.fine_triple(1.0)
     frame = bpx_frame(hy, 1.0)
@@ -392,8 +383,6 @@ def _identity_block(frame, op, rng):
     gram = gram_identity_check(frame, op)
     comp = composition_check(frame, frame, op, op)
     pinv_res = pseudo_inverse_identity_check(frame, op)
-    from .operator_repr import inverse_representation
-
     m_inv = inverse_representation(frame, op)
     rec_inv = operator_from_matrix(frame, frame, m_inv).matrix
     l_inv = np.linalg.inv(op.matrix)
@@ -415,7 +404,7 @@ def _identity_block(frame, op, rng):
 
 
 def _cmd_identities(cfg: RunConfig, rng):
-    j_max = cfg.j_levels[0] if cfg.j_levels else 3
+    j_max = _single_depth(cfg, 3)
     f1 = fixtures.fixture_f1()
     instances = [
         ("F1", f1, make_operator(f1.triple, np.diag([3.0, 5.0]))),
@@ -450,6 +439,8 @@ _HANDLERS = {
     "solve-poisson": _cmd_solve_poisson,
     "identities": _cmd_identities,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 # -- report assembly -----------------------------------------------------------
@@ -557,7 +548,7 @@ RESULT_SCHEMAS = {
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
 def render_csv(rows: list[list]) -> str:
@@ -633,48 +624,35 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="framekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for random-vector studies")
-    common.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
+    common.add_argument("--seed", type=int, help="RNG seed for random-vector studies")
+    common.add_argument("--tol", type=float, help="solver tolerance")
     common.add_argument("--output", help="report path (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    common.add_argument("--q", type=float, default=1.0, help="Sobolev exponent")
+    common.add_argument("--format", choices=("json", "csv"), dest="fmt")
+    common.add_argument("--q", type=float, help="Sobolev exponent")
     common.add_argument("--J", dest="j_levels", help="hierarchy depth or range like 2..7")
     common.add_argument("--J-fine", dest="j_fine", type=int, help="fine grid level")
     common.add_argument("--fixture", help="named fixture (F1..F4)")
-    common.add_argument("--samples", type=int, default=20, help="random sample count")
-    common.add_argument("--max-ratio", type=float, default=60.0, help="bound-ratio cap checked by bpx")
-    common.add_argument("--max-spread", type=float, default=20.0, help="spread cap checked by norm-equiv")
+    common.add_argument("--samples", type=int, help="random sample count")
+    common.add_argument("--max-ratio", type=float, help="bound-ratio cap checked by bpx")
+    common.add_argument("--max-spread", type=float, help="spread cap checked by norm-equiv")
+    common.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.name != "command"})
     for name in COMMANDS:
         sub.add_parser(name, parents=[common], help=f"run the {name} study")
     return parser
 
 
 def config_from_args(argv) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     if ns.command is None:
         raise UsageError("a subcommand is required")
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {ns.seed}")
     if ns.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {ns.samples}")
     if not (math.isfinite(ns.tol) and ns.tol > 0.0):
         raise UsageError(f"--tol must be a finite positive number, got {ns.tol}")
-    levels: tuple[int, ...] = ()
-    if ns.j_levels:
-        levels = parse_level_range(ns.j_levels)
-    return RunConfig(
-        command=ns.command,
-        j_fine=ns.j_fine,
-        j_levels=levels,
-        q=ns.q,
-        seed=ns.seed,
-        tol=ns.tol,
-        output=ns.output,
-        fmt=ns.fmt,
-        fixture=ns.fixture,
-        samples=ns.samples,
-        max_ratio=ns.max_ratio,
-        max_spread=ns.max_spread,
-    )
+    levels = parse_level_range(ns.j_levels) if ns.j_levels else ()
+    return RunConfig(**{**vars(ns), "j_levels": levels})
 
 
 def main(argv=None) -> int:

@@ -140,7 +140,7 @@ class FrameBounds:
 
 @dataclass(frozen=True)
 class RieszCheck:
-    """Outcome of the Riesz-sequence test: independence plus H-Gramian extremes."""
+    """Outcome of the Riesz-sequence test: independence plus Gramian extremes."""
 
     is_riesz: bool
     lower: Optional[float] = None
@@ -323,12 +323,16 @@ def min_norm_coefficients(frame: FrameSpec, f: PrimalVector) -> np.ndarray:
 def riesz_check(frame: AnySpec) -> RieszCheck:
     """Riesz-sequence test: true iff synthesis is injective (rank == k).
 
-    When true, also reports the Riesz bounds, i.e. the extreme eigenvalues
-    of the H-Gramian E^T inner E.
+    When true, also reports the Riesz bounds: the extreme eigenvalues of
+    the Gramian in the elements' own norm, E^T inner E for a primal
+    collection and E^T inner^-1 E for a dual one.
     """
     if frame.rank < frame.k:
         return RieszCheck(is_riesz=False)
-    gram = frame.elements.T @ frame.triple.inner.a @ frame.elements
+    if isinstance(frame, FrameSpec):
+        gram = frame.elements.T @ frame.triple.inner.a @ frame.elements
+    else:
+        gram = frame.elements.T @ frame.triple.inner_solve(frame.elements)
     w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     return RieszCheck(is_riesz=True, lower=float(w[0]), upper=float(w[-1]))
 

@@ -25,8 +25,6 @@ from .errors import DimensionMismatch, DomainError
 from .frames import ColumnLabel, FrameSpec
 from .spaces import GAMMA, DiscreteGelfandTriple, DualVector, PrimalVector, build_triple
 
-APPROXIMATION_ORDER = 2  # piecewise-linear hats reproduce polynomials up to degree 1
-
 
 @dataclass(frozen=True, eq=False)
 class MultiscaleHierarchy:
@@ -35,8 +33,6 @@ class MultiscaleHierarchy:
     j_max: int
     dims: tuple[int, ...]
     prolongations: tuple[sp.csr_array, ...]  # prolongations[j]: V_j -> V_{j+1}
-    gamma: float = GAMMA
-    order: int = APPROXIMATION_ORDER
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -223,8 +219,8 @@ def bernstein_rate(hy: MultiscaleHierarchy, q: float, fit_lo: int = 2) -> RateRe
     eigenvalue of the level triple's (inner, mass) pencil, read from the
     spectrum the grid triple records in closed form (``spectrum``).
     """
-    if not 0.0 <= q < hy.gamma:
-        raise DomainError(f"q must lie in [0, {hy.gamma}), got {q}")
+    if not 0.0 <= q < GAMMA:
+        raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
     values = [hy.level_triple(j, q).spectrum().max for j in hy.levels]
     return _fit_report(hy.levels, values, fit_lo, hy.j_max)
 
@@ -269,8 +265,8 @@ def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> 
     squared (H^q)' norm of g.  The ratio stays inside a fixed interval
     over all g; degree-2 homogeneity makes it invariant under scaling g.
     """
-    if not 0.0 < q < hy.gamma:
-        raise DomainError(f"q must lie in (0, {hy.gamma}), got {q}")
+    if not 0.0 < q < GAMMA:
+        raise DomainError(f"q must lie in (0, {GAMMA}), got {q}")
     fine_q = hy.fine_triple(q)
     fine_l2 = hy.fine_triple()
     if len(g) != fine_l2.n:
@@ -299,8 +295,8 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
     spans by construction: the finest block is a positive multiple of the
     identity for every q, so the verdict is recorded instead of measured.
     """
-    if not 0.0 <= q < hy.gamma:
-        raise DomainError(f"q must lie in [0, {hy.gamma}), got {q}")
+    if not 0.0 <= q < GAMMA:
+        raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
     triple = hy.fine_triple(q)
     blocks = []
     labels: list[ColumnLabel] = []

@@ -38,31 +38,28 @@ def as_dense(a) -> np.ndarray:
 class SymMatrix:
     """Dense symmetric matrix; storage is symmetrized exactly on construction.
 
-    Construction rejects inputs whose asymmetry exceeds assembly noise
-    (1e-8 relative), then stores (A + A^T)/2 so the stored entries satisfy
-    a_ij == a_ji bit for bit.
+    Stores a read-only copy of an exactly symmetric input as it is.  Any
+    other input is rejected when its asymmetry exceeds assembly noise (1e-8
+    relative), else stored as (A + A^T)/2, so a_ij == a_ji bit for bit.
     """
 
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = np.array(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("SymMatrix requires a square 2-d array")
-        if a.size:
+        if not np.array_equal(a, a.T):
             scale = max(1.0, float(np.abs(a).max()))
             if float(np.abs(a - a.T).max()) > 1e-8 * scale:
                 raise ValueError("input matrix is not symmetric")
-        sym = 0.5 * (a + a.T)
-        sym.setflags(write=False)
-        object.__setattr__(self, "a", sym)
+            a = 0.5 * (a + a.T)
+        a.setflags(write=False)
+        object.__setattr__(self, "a", a)
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    def asymmetry(self) -> float:
-        return float(np.abs(self.a - self.a.T).max()) if self.a.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,13 +258,13 @@ def min_norm_solve(a, b) -> np.ndarray:
     return x
 
 
-def pseudo_inverse(a, cutoff: float = PINV_CUTOFF) -> np.ndarray:
-    """Moore-Penrose inverse with relative singular-value cutoff."""
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose inverse; singular values below sigma_max * PINV_CUTOFF count as zero."""
     mat = np.atleast_2d(np.asarray(a, dtype=float))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if not s.size or s[0] == 0.0:
         return np.zeros((mat.shape[1], mat.shape[0]))
-    keep = s > s[0] * cutoff
+    keep = s > s[0] * PINV_CUTOFF
     return vt[keep].T @ (u[:, keep] / s[keep]).T
 
 

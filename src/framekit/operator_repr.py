@@ -14,7 +14,6 @@ columns and of the operator matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +22,6 @@ import scipy.sparse as sp
 from .errors import DimensionMismatch, DomainError, NotAFrame, SingularOperator
 from .frames import (
     AnySpec,
-    DualFrameSpec,
     FrameSpec,
     analysis,
     cross_gramian,
@@ -34,7 +32,6 @@ from .frames import (
     synthesis,
 )
 from .numerics import (
-    PINV_CUTOFF,
     RANK_RTOL,
     SymMatrix,
     cg_solve,
@@ -67,10 +64,6 @@ class OperatorSpec:
         if len(f) != self.triple.n:
             raise DimensionMismatch(f"vector has size {len(f)}, operator has {self.triple.n}")
         return DualVector(self.matrix @ f.coeffs)
-
-    def inverse_apply(self, g: DualVector) -> PrimalVector:
-        """Solve O u = g; available only for nonsingular operator matrices."""
-        return PrimalVector(_solve_nonsingular(self, g.action))
 
 
 def _csr_matrix(op: "OperatorSpec") -> sp.csr_array:
@@ -323,7 +316,7 @@ def pseudo_inverse_identity_check(f: FrameSpec, op: OperatorSpec) -> float:
     comparison so that noise in the numerical kernel cannot contribute.
     """
     m = matrix_representation(f, f, op)
-    p = pseudo_inverse(m, cutoff=PINV_CUTOFF)
+    p = pseudo_inverse(m)
     m_inv = inverse_representation(f, op)
     g = cross_gramian(f, dual_frame(f))
     lhs = g @ p @ g
@@ -343,7 +336,7 @@ class GalerkinSolution:
 
 
 def galerkin_solve(
-    f: FrameSpec, op: OperatorSpec, b: DualVector, tol: float = 1e-8, maxit: int = 10_000
+    f: FrameSpec, op: OperatorSpec, b: DualVector, tol: float = 1e-8
 ) -> GalerkinSolution:
     """Solve O u = b by testing and expanding in the same frame.
 
@@ -367,7 +360,7 @@ def galerkin_solve(
         return e_t @ (lmat @ (e @ v))
 
     rhs = analysis(f, b)
-    coeffs, iterations = cg_solve(apply_m, rhs, tol=tol, maxit=maxit)
+    coeffs, iterations = cg_solve(apply_m, rhs, tol=tol)
     nb = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(apply_m(coeffs) - rhs)) / nb if nb > 0 else 0.0
     u = synthesis(f, coeffs)
@@ -434,31 +427,10 @@ class ConditioningRow:
 
 @dataclass(frozen=True, eq=False)
 class ConditioningStudy:
-    """Per-level comparison of the multilevel frame system with the plain one."""
+    """Per-level comparison of the multilevel frame system with the plain one (q = 1)."""
 
-    q: float
     tol: float
     rows: tuple[ConditioningRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "tol": self.tol,
-            "rows": [
-                {
-                    "J": r.level,
-                    "fine_dim": r.fine_dim,
-                    "columns": r.columns,
-                    "lower": r.lower,
-                    "upper": r.upper,
-                    "ratio": r.ratio,
-                    "kappa_single": r.kappa_single,
-                    "iterations_multilevel": r.iterations_multilevel,
-                    "iterations_single": r.iterations_single,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 # Iteration counts are probed with a seeded Gaussian load: a smooth load can
@@ -467,13 +439,13 @@ class ConditioningStudy:
 PROBE_SEED = 2718281
 
 
-def conditioning_row(j_max: int, q: float = 1.0, tol: float = 1e-8) -> ConditioningRow:
-    """One study row: bounds and CG counts at a single hierarchy depth."""
+def conditioning_row(j_max: int, tol: float = 1e-8) -> ConditioningRow:
+    """One study row: bounds and CG counts at a single hierarchy depth, with q = 1."""
     from .multiscale import bpx_frame, build_hierarchy
 
     hy = build_hierarchy(j_max)
-    frame = bpx_frame(hy, q)
-    triple = hy.fine_triple(q)
+    frame = bpx_frame(hy, 1.0)
+    triple = hy.fine_triple(1.0)
     op = poisson_operator(triple)
     bounds = frame_bounds(frame)
     probe = DualVector(
@@ -494,18 +466,16 @@ def conditioning_row(j_max: int, q: float = 1.0, tol: float = 1e-8) -> Condition
     )
 
 
-def conditioning_study(j_values, q: float = 1.0, tol: float = 1e-8) -> ConditioningStudy:
-    """Conditioning and iteration-count sequences over hierarchy depths.
+def conditioning_study(j_values, tol: float = 1e-8) -> ConditioningStudy:
+    """Conditioning and iteration-count sequences over hierarchy depths, with q = 1.
 
-    For q = 1 the ratio column equals the effective condition number of
-    the multilevel system matrix (largest over smallest nonzero
-    eigenvalue) and stays bounded, while kappa of the single-level
-    stiffness grows by a factor of about 4 per level.
+    The ratio column equals the effective condition number of the
+    multilevel system matrix (largest over smallest nonzero eigenvalue)
+    and stays bounded, while kappa of the single-level stiffness grows by
+    a factor of about 4 per level.
     """
-    if q != 1.0:
-        raise DomainError("conditioning_study is defined for q = 1")
-    rows = tuple(conditioning_row(j, q=q, tol=tol) for j in j_values)
-    return ConditioningStudy(q=q, tol=tol, rows=rows)
+    rows = tuple(conditioning_row(j, tol=tol) for j in j_values)
+    return ConditioningStudy(tol=tol, rows=rows)
 
 
 def effective_condition_number(m) -> float:

@@ -1,15 +1,18 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import jsonschema
 import pytest
 
+import framekit.cli as cli
 from framekit.cli import (
     CSV_COMMANDS,
     REPORT_SCHEMA,
     RESULT_SCHEMAS,
     RunConfig,
+    build_parser,
     main,
     parse_level_range,
     run,
@@ -52,6 +55,27 @@ class TestParsing:
             out = tmp_path / f"{command}.json"
             assert main([command, "--samples", "0", "--output", str(out)]) == 1
             assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["dual", "--samples", "3", "--seed", "-1", "--output", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["rates", "norm-equiv", "solve-poisson", "identities", "gramian"]
+    )
+    def test_single_depth_command_rejects_a_range(self, tmp_path, monkeypatch, command):
+        built = []
+        monkeypatch.setattr(cli, "build_hierarchy", lambda j: built.append(j))
+        out = tmp_path / "report.json"
+        assert main([command, "--q", "0.5", "--J", "2..7", "--output", str(out)]) == 1
+        assert built == [] and not out.exists()
+
+    def test_bpx_checks_every_depth_before_any_bounds(self, monkeypatch):
+        bounded = []
+        monkeypatch.setattr(cli, "frame_bounds", lambda frame: bounded.append(frame))
+        assert main(["bpx", "--J", "9..11"]) == 1
+        assert bounded == []
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
@@ -187,3 +211,15 @@ class TestExitCodes:
 
     def test_csv_commands_constant(self):
         assert set(CSV_COMMANDS) == {"rates", "bpx"}
+
+
+class TestRunConfig:
+    def test_fields_are_the_parser_destinations(self):
+        ns = build_parser().parse_args(["bounds"])
+        assert set(vars(ns)) == {f.name for f in fields(RunConfig)}
+
+    def test_params_keys(self):
+        assert set(RunConfig(command="bounds").params_dict()) == {
+            "J_fine", "J", "q", "seed", "tol", "format", "fixture", "samples",
+            "max_ratio", "max_spread",
+        }

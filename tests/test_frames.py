@@ -385,6 +385,18 @@ class TestRieszCheck:
         hy = build_hierarchy(2)
         assert riesz_check(bpx_frame(hy, 1.0)).is_riesz is False
 
+    @pytest.mark.parametrize(
+        "basis", [fixture_f4(), reference_frame(build_triple(3, 0.5))], ids=["F4", "hat-q0.5"]
+    )
+    def test_riesz_bounds_equal_frame_bounds_on_both_sides(self, basis):
+        # a dual collection is measured in the H' norm, a primal one in the H norm
+        for spec in (basis, dual_frame(basis)):
+            result = riesz_check(spec)
+            bounds = frame_bounds(spec)
+            assert result.is_riesz
+            assert result.lower == pytest.approx(bounds.lower, rel=1e-10)
+            assert result.upper == pytest.approx(bounds.upper, rel=1e-10)
+
 
 class TestEquivalentInnerProduct:
     def test_f2_doubles_the_euclidean_product(self):

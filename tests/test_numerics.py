@@ -34,8 +34,17 @@ class TestSymMatrix:
         a = random_spd(rng, 6)
         a[0, 1] += 1e-12  # assembly-level noise is tolerated and removed
         m = SymMatrix(a)
-        assert m.asymmetry() == 0.0
+        assert np.array_equal(m.a, m.a.T)
         assert m.n == 6
+
+    def test_exact_input_is_stored_bit_for_bit_as_a_copy(self):
+        a = random_spd(np.random.default_rng(1), 5)
+        a = a + a.T  # exactly symmetric
+        before = a.copy()
+        m = SymMatrix(a)
+        assert np.array_equal(m.a, before)
+        a[0, 0] += 1.0  # the caller's array stays writable and is not the storage
+        assert np.array_equal(m.a, before)
 
     def test_rejects_asymmetric_input(self):
         a = np.eye(3)

@@ -373,10 +373,6 @@ class TestConditioningStudy:
         b = frame_bounds(frame)
         assert effective_condition_number(m) == pytest.approx(b.ratio, rel=1e-9)
 
-    def test_requires_q_one(self):
-        with pytest.raises(DomainError):
-            conditioning_study([2], q=0.5)
-
 
 class TestSampleTable:
     def test_table_includes_boundary_zeros(self):
