@@ -57,6 +57,7 @@ from .multiscale import (
 from .numerics import (
     PencilSpectrum,
     SymMatrix,
+    Tridiagonal,
     cg_solve,
     generalized_eig_pairs,
     generalized_eigs,

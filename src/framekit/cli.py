@@ -337,6 +337,8 @@ def _cmd_bpx(cfg: RunConfig, rng):
 
 
 def _cmd_solve_poisson(cfg: RunConfig, rng):
+    if cfg.q != 1.0:
+        raise UsageError(f"solve-poisson solves the q = 1 Poisson problem, got --q {cfg.q}")
     j_max = _single_depth(cfg, 6)
     hy = build_hierarchy(j_max)
     triple = hy.fine_triple(1.0)

@@ -9,8 +9,11 @@ Prolongations, level embeddings and the multilevel frame columns are
 sparse (CSR): a fine node lies in at most two hats of any level, so E_j
 has at most two nonzeros per row.  Their entries are exact dyadic values,
 and the dense views (``embed_matrix``, ``FrameSpec.elements``) equal the
-dense product chain bit for bit.  The triples stay dense; their pencil
-spectra are closed-form (spaces), so the Bernstein rates solve no pencil.
+dense product chain bit for bit.  The grid mass matrices are
+``Tridiagonal`` (spaces): L^2 projections, Jackson errors and the
+telescoped norms multiply by them in O(n) and solve the level mass
+systems banded.  Pencil spectra are closed-form, so the Bernstein rates
+solve no pencil.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def l2_project(hy: MultiscaleHierarchy, j: int, f: PrimalVector) -> PrimalVector
     fine = hy.fine_triple()
     if len(f) != fine.n:
         raise DimensionMismatch(f"vector has size {len(f)}, fine grid has {fine.n}")
-    rhs = hy.embedding(j).T @ (fine.mass.a @ f.coeffs)
+    rhs = hy.embedding(j).T @ (fine.mass @ f.coeffs)
     return PrimalVector(hy.level_triple(j).mass_solve(rhs))
 
 
@@ -203,7 +206,7 @@ def jackson_rate(
         fit_hi = hy.j_max - 2
     fine = hy.fine_triple()
     fv = sample_on_fine_grid(hy, f)
-    mass = fine.mass.a
+    mass = fine.mass
     values = []
     for j in hy.levels:
         err = fv.coeffs - prolong_to_fine(hy, j, l2_project(hy, j, fv)).coeffs
@@ -272,7 +275,7 @@ def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> 
     if len(g) != fine_l2.n:
         raise DimensionMismatch(f"vector has size {len(g)}, fine grid has {fine_l2.n}")
     f = PrimalVector(fine_l2.mass_solve(g.action))
-    mass = fine_l2.mass.a
+    mass = fine_l2.mass
     numerator = 0.0
     for j, piece in enumerate(telescope(hy, f)):
         d = piece.coeffs

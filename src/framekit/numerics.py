@@ -1,24 +1,32 @@
-"""Dense symmetric linear-algebra kernels used by every other module.
+"""Symmetric linear-algebra kernels used by every other module.
 
-The kernels here are dense: problem sizes stay at desk scale (around
-10^4 unknowns or less), and transparent kernels are easier to
-cross-check.  The sparse layers sit above them: CSR prolongations,
-level embeddings and multilevel frame columns (multiscale), E E^T of
-sparse-built frames (frames), and the Poisson operator's CSR form with
-the matrix-free frame-Galerkin action (operator_repr).  ``cg_solve``
-takes the operator as a callable, so it serves both.  All operations are
-pure functions of immutable inputs and are safe to call concurrently.
+Two matrix types carry the triples' Gram matrices.  ``SymMatrix`` is a
+dense symmetric array; ``Tridiagonal`` is a symmetric tridiagonal
+Toeplitz matrix stored by its two values, whose products, CSR form and
+banded Cholesky factor cost O(n) and whose dense view is built only when
+a dense consumer asks for it.  Both apply with ``@``.  ``spd_solver``
+factors either (banded or dense Cholesky, one refinement loop), and
+``cg_solve`` takes the operator as a callable, so it serves the sparse
+layers above: CSR prolongations, level embeddings and multilevel frame
+columns (multiscale), E E^T and the minimal-norm coefficients of
+sparse-built frames (frames), and the matrix-free frame-Galerkin action
+(operator_repr).  The eigen- and SVD kernels stay dense: problem sizes
+stay at desk scale, and transparent kernels are easier to cross-check.
+All operations are pure functions of immutable inputs and are safe to
+call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .errors import DimensionMismatch, Inconsistent, NoConvergence, NotPositiveDefinite
+from .errors import DimensionMismatch, DomainError, Inconsistent, NoConvergence, NotPositiveDefinite
 
 # Relative cutoffs used throughout: an eigenvalue or singular value counts
 # as nonzero above max * RANK_RTOL; the pseudo-inverse drops singular
@@ -28,10 +36,24 @@ PINV_CUTOFF = 1e-12
 
 
 def as_dense(a) -> np.ndarray:
-    """Plain float ndarray view of a matrix-like object (SymMatrix or array)."""
-    if isinstance(a, SymMatrix):
+    """Plain float ndarray view of a matrix-like object (SymMatrix, Tridiagonal or array)."""
+    if isinstance(a, (SymMatrix, Tridiagonal)):
         return a.a
     return np.asarray(a, dtype=float)
+
+
+def check_dense_fits(n: int, arrays: int) -> None:
+    """Raise DomainError when ``arrays`` dense n x n float64 arrays exceed physical memory."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare against
+        return
+    needed = arrays * 8 * n * n
+    if needed > physical:
+        raise DomainError(
+            f"{arrays} dense {n} x {n} matrices need about {needed / 2**30:.1f} GiB, "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +82,65 @@ class SymMatrix:
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self.a @ x
+
+
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """Symmetric tridiagonal Toeplitz matrix: ``diag`` on the diagonal, ``off`` beside it.
+
+    Stored by its two values.  ``t @ x`` runs as three numpy slices (x may
+    be a vector or a block of columns).  The CSR form (``csr``) and the
+    dense view (``a``) are built on first use and cached; ``a`` is
+    read-only, and building it first checks that it fits in memory.
+    """
+
+    n: int
+    diag: float
+    off: float
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def a(self) -> np.ndarray:
+        if "dense" not in self._cache:
+            check_dense_fits(self.n, 1)
+            a = np.zeros(self.shape)
+            np.fill_diagonal(a, self.diag)
+            idx = np.arange(self.n - 1)
+            a[idx, idx + 1] = self.off
+            a[idx + 1, idx] = self.off
+            a.setflags(write=False)
+            self._cache["dense"] = a
+        return self._cache["dense"]
+
+    @property
+    def csr(self) -> sp.csr_array:
+        if "csr" not in self._cache:
+            off = np.full(self.n - 1, self.off)
+            self._cache["csr"] = sp.diags_array(
+                [off, np.full(self.n, self.diag), off], offsets=(-1, 0, 1), format="csr"
+            )
+        return self._cache["csr"]
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        y = self.diag * x
+        y[1:] += self.off * x[:-1]
+        y[:-1] += self.off * x[1:]
+        return y
+
+    def banded_lower(self) -> np.ndarray:
+        """The lower band in LAPACK's layout: row 0 the diagonal, row 1 the subdiagonal."""
+        ab = np.zeros((2, self.n))
+        ab[0] = self.diag
+        ab[1, :-1] = self.off
+        return ab
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,26 +190,33 @@ class PencilSpectrum:
 def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
     """Factor an SPD matrix once and return the solve closure.
 
-    The closure applies one or two steps of iterative refinement, which
+    A Tridiagonal is factored banded (O(n)), anything else densely.  The
+    closure applies one or two steps of iterative refinement, which
     pushes the relative residual to ~1e-13 even for the stiffest desk-scale
     matrices.  Raises NotPositiveDefinite when a pivot fails.
     """
-    mat = as_dense(a)
+    banded = isinstance(a, Tridiagonal)
+    mat = a if banded else as_dense(a)
+    cho_solve = scipy.linalg.cho_solve_banded if banded else scipy.linalg.cho_solve
     try:
-        factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
+        if banded:
+            band = scipy.linalg.cholesky_banded(mat.banded_lower(), lower=True, check_finite=False)
+            factor = (band, True)
+        else:
+            factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NotPositiveDefinite(str(exc)) from None
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         b = np.asarray(rhs, dtype=float)
-        x = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        x = cho_solve(factor, b, check_finite=False)
         nb = np.linalg.norm(b)
         if nb > 0.0:
             best_x, best_r = x, float(np.linalg.norm(b - mat @ x))
             for _ in range(4):
                 if best_r <= 1e-13 * nb:
                     break
-                x = x + scipy.linalg.cho_solve(factor, b - mat @ x, check_finite=False)
+                x = x + cho_solve(factor, b - mat @ x, check_finite=False)
                 res = float(np.linalg.norm(b - mat @ x))
                 if res >= 0.5 * best_r:  # stagnated at the precision floor
                     if res < best_r:
@@ -144,10 +232,10 @@ def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
 def solve_spd(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
-    Accepts a vector or a matrix right-hand side.  The result carries a
-    relative residual of at most ~1e-12.
+    Accepts a vector or a matrix right-hand side; a Tridiagonal is solved
+    banded.  The result carries a relative residual of at most ~1e-12.
     """
-    mat = as_dense(a)
+    mat = a if isinstance(a, Tridiagonal) else as_dense(a)
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != mat.shape[0]:
         raise DimensionMismatch(

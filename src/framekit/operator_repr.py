@@ -8,12 +8,16 @@ representation in a frame is M = E_test^T L E_ansatz; solving the
 conjugate gradients recovers the minimal-norm coefficient vector, i.e.
 the analysis of the solution with the canonical dual frame.  The solver
 never assembles M: it applies E^T L E through the CSR forms of the frame
-columns and of the operator matrix.
+columns and of the operator matrix.  The Poisson operator keeps the grid
+stiffness as a ``Tridiagonal``, so its direct solve is banded and its
+dense matrix is built only for the dense consumers (matrix identities,
+LU solves, measured constants).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +38,8 @@ from .frames import (
 from .numerics import (
     RANK_RTOL,
     SymMatrix,
+    Tridiagonal,
+    as_dense,
     cg_solve,
     generalized_eigs,
     null_space,
@@ -47,23 +53,31 @@ from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector, stiffness_c
 class OperatorSpec:
     """Discretized operator O : H -> H' with its form constants.
 
-    ``continuity`` is the best constant in a(u, v) <= C ||u|| ||v||,
-    ``ellipticity`` the best constant in a(u, u) >= C ||u||^2, both
-    measured against the triple's H^q norm.
+    ``form`` is the coefficient-to-action matrix as stored: a read-only
+    dense array, or the grid stiffness ``Tridiagonal`` for the Poisson
+    operator; ``matrix`` is its dense view.  ``continuity`` is the best
+    constant in a(u, v) <= C ||u|| ||v||, ``ellipticity`` the best
+    constant in a(u, u) >= C ||u||^2, both measured against the triple's
+    H^q norm.
     """
 
     triple: DiscreteGelfandTriple
-    matrix: np.ndarray
+    form: Union[np.ndarray, Tridiagonal]
     symmetric: bool
     elliptic: bool
     continuity: float
     ellipticity: float
     _cache: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense read-only matrix (built on first access for a Tridiagonal form)."""
+        return as_dense(self.form)
+
     def apply(self, f: PrimalVector) -> DualVector:
         if len(f) != self.triple.n:
             raise DimensionMismatch(f"vector has size {len(f)}, operator has {self.triple.n}")
-        return DualVector(self.matrix @ f.coeffs)
+        return DualVector(self.form @ f.coeffs)
 
 
 def _csr_matrix(op: "OperatorSpec") -> sp.csr_array:
@@ -122,7 +136,7 @@ def make_operator(triple: DiscreteGelfandTriple, matrix) -> OperatorSpec:
         elliptic = low > 0.0
     return OperatorSpec(
         triple=triple,
-        matrix=mat,
+        form=mat,
         symmetric=symmetric,
         elliptic=elliptic,
         continuity=float(continuity),
@@ -136,23 +150,22 @@ def poisson_operator(triple: DiscreteGelfandTriple) -> OperatorSpec:
     Requires a triple built with q = 1 so that the energy norm is the
     space norm; then continuity and ellipticity are both exactly 1: the
     inner matrix is the stiffness matrix itself, so every eigenvalue of
-    the (L, inner) pencil is 1 and no eigensolve is needed.  The CSR form
-    comes from the closed-form tridiagonal (-1, 2, -1)/h.
+    the (L, inner) pencil is 1 and no eigensolve is needed.  The operator
+    keeps the stiffness ``Tridiagonal`` (-1, 2, -1)/h, so the dense matrix
+    is built only if a dense consumer asks for it, and takes its CSR form
+    from it.
     """
     if triple.q != 1.0:
         raise DomainError(f"poisson_operator needs a q = 1 triple, got q = {triple.q}")
     op = OperatorSpec(
         triple=triple,
-        matrix=triple.stiffness.a,
+        form=triple.stiffness,
         symmetric=True,
         elliptic=True,
         continuity=1.0,
         ellipticity=1.0,
     )
-    off = np.full(triple.n - 1, -1.0 / triple.h)
-    op._cache["csr"] = sp.diags_array(
-        [off, np.full(triple.n, 2.0 / triple.h), off], offsets=(-1, 0, 1), format="csr"
-    )
+    op._cache["csr"] = triple.stiffness.csr
     return op
 
 
@@ -491,9 +504,10 @@ def effective_condition_number(m) -> float:
 def direct_solution(op: OperatorSpec, b: DualVector) -> PrimalVector:
     """Reference fine-grid solve of O u = b (SPD path).
 
-    The matrix goes to the Cholesky solve as it is: its symmetry was
-    established when the operator was built, and Cholesky reads one triangle.
+    The stored matrix goes to the Cholesky solve as it is: banded for a
+    Tridiagonal, dense otherwise.  Its symmetry was established when the
+    operator was built, and Cholesky reads one triangle.
     """
     if not (op.symmetric and op.elliptic):
         raise DomainError("direct_solution requires a symmetric elliptic operator")
-    return PrimalVector(solve_spd(op.matrix, b.action))
+    return PrimalVector(solve_spd(op.form, b.action))

@@ -9,24 +9,35 @@ oracle (riesz_image / riesz_preimage).
 
 Grid triples are diagonalized in closed form: the hat mass and stiffness
 matrices are tridiagonal Toeplitz, so the discrete sine transform is the
-common eigenbasis of the (stiffness, mass) pencil.  The H^q Gram matrix
-is filled from one DCT-I of its eigenvalues, and the pencil spectrum and
-the stiffness condition number are known formulas; no grid triple runs a
-dense eigensolve.  ``spectral_inner_matrix`` is the generic dense path
-for any pencil and the oracle the closed forms are tested against.
+common eigenbasis of the (stiffness, mass) pencil.  They are kept as
+``Tridiagonal`` objects (O(n) products and banded solves, a dense view
+only on request), and for q = 0 or 1 the H^q Gram matrix is one of them,
+so such a triple holds no n x n array.  For fractional q the Gram matrix
+is dense, filled from one DCT-I of its eigenvalues.  The pencil spectrum
+and the stiffness condition number are known formulas; no grid triple
+runs a dense eigensolve.  ``spectral_inner_matrix`` is the generic dense
+path for any pencil and the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, DomainError
-from .numerics import PencilSpectrum, SymMatrix, generalized_eig_pairs, generalized_eigs, spd_solver
+from .numerics import (
+    PencilSpectrum,
+    SymMatrix,
+    Tridiagonal,
+    as_dense,
+    check_dense_fits,
+    generalized_eig_pairs,
+    generalized_eigs,
+    spd_solver,
+)
 
 # Piecewise-linear hats belong to H^t only for t < 3/2.
 GAMMA = 1.5
@@ -79,15 +90,15 @@ class DiscreteGelfandTriple:
 
     ``mass`` is the L^2 Gram matrix of the hats, ``stiffness`` the H^1
     seminorm matrix, ``inner`` the Gram matrix of the H^q inner product
-    actually used for primal/dual norms.  Synthetic triples (used by
-    hand-checkable fixtures) carry explicit matrices and leave the grid
-    metadata unset.
+    actually used for primal/dual norms.  Each applies with ``@`` and
+    has a dense view ``.a``.  Synthetic triples (used by hand-checkable
+    fixtures) carry explicit matrices and leave the grid metadata unset.
     """
 
     n: int
-    mass: SymMatrix
-    inner: SymMatrix
-    stiffness: Optional[SymMatrix] = None
+    mass: Union[SymMatrix, Tridiagonal]
+    inner: Union[SymMatrix, Tridiagonal]
+    stiffness: Optional[Tridiagonal] = None
     j_fine: Optional[int] = None
     h: Optional[float] = None
     q: Optional[float] = None
@@ -121,15 +132,6 @@ class DiscreteGelfandTriple:
         return self._cache["spectrum"]
 
 
-def _tridiagonal(n: int, diag: float, off: float) -> np.ndarray:
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, diag)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = off
-    a[idx + 1, idx] = off
-    return a
-
-
 def spectral_inner_matrix(stiffness, mass, q: float) -> SymMatrix:
     """H^q Gram matrix built from the (stiffness, mass) pencil.
 
@@ -141,7 +143,7 @@ def spectral_inner_matrix(stiffness, mass, q: float) -> SymMatrix:
     """
     lam, w = generalized_eig_pairs(stiffness, mass)
     lam = np.maximum(lam, 0.0)
-    mw = np.asarray(mass.a if isinstance(mass, SymMatrix) else mass, dtype=float) @ w
+    mw = as_dense(mass) @ w
     return SymMatrix((mw * lam**q) @ mw.T)
 
 
@@ -182,23 +184,13 @@ def stiffness_condition_number(n: int) -> float:
     return float(np.tan(0.5 * np.pi / (n + 1)) ** -2)
 
 
-# A triple holds mass, stiffness and inner as dense n x n float64 arrays.
-# Counting the temporaries of their assembly, the measured peak of
-# build_triple is 5 such arrays for fractional q and 4 for q = 0 or 1.
+# A fractional-q triple holds its H^q Gram matrix as a dense n x n float64
+# array; filling it peaks at about 2 such arrays (the Toeplitz part plus
+# the Hankel temporary, measured with tracemalloc at j_fine = 11).  The
+# guard counts 5 to leave room for the dense consumers of the Gram matrix
+# (frame bounds form inner * E E^T * inner and solve its pencil); with 2,
+# a j_fine = 14 triple would start a 4.3 GB fill on an 8 GB machine.
 DENSE_ARRAYS = 5
-
-
-def _check_fits_in_memory(n: int) -> None:
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare against
-        return
-    needed = DENSE_ARRAYS * 8 * n * n
-    if needed > physical:
-        raise DomainError(
-            f"a triple with {n} nodes needs about {needed / 2**30:.1f} GiB of dense "
-            f"matrices, more than the {physical / 2**30:.1f} GiB of physical memory"
-        )
 
 
 def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
@@ -210,9 +202,11 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     Gram matrix is the mass matrix for q = 0, the stiffness matrix for
     q = 1, and otherwise Q diag(mu^(1-q) kappa^q) Q^T on the shared sine
     eigenbasis (``sine_congruence``), which is what
-    ``spectral_inner_matrix`` computes densely.  The (inner, mass) pencil
-    spectrum (kappa/mu)^q is recorded with the triple.  Raises DomainError
-    when the dense matrices would not fit in physical memory.
+    ``spectral_inner_matrix`` computes densely.  Mass and stiffness are
+    ``Tridiagonal`` objects; only a fractional-q Gram matrix is dense.  The
+    (inner, mass) pencil spectrum (kappa/mu)^q is recorded with the triple.
+    Raises DomainError when a fractional-q triple's dense matrices would
+    not fit in physical memory.
     """
     if not 1 <= int(j_fine) == j_fine <= 14:
         raise DomainError(f"j_fine must be an integer in [1, 14], got {j_fine}")
@@ -220,15 +214,15 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
         raise DomainError(f"q must lie in [0, 3/2) for piecewise-linear hats, got {q}")
     n = 2**j_fine - 1
     h = 2.0**-j_fine
-    _check_fits_in_memory(n)
-    mass = SymMatrix(_tridiagonal(n, 2.0 * h / 3.0, h / 6.0))
-    stiffness = SymMatrix(_tridiagonal(n, 2.0 / h, -1.0 / h))
+    mass = Tridiagonal(n, 2.0 * h / 3.0, h / 6.0)
+    stiffness = Tridiagonal(n, 2.0 / h, -1.0 / h)
     kappa, mu = _grid_pencil(n)
     if q == 0.0:
         inner = mass
     elif q == 1.0:
         inner = stiffness
     else:
+        check_dense_fits(n, DENSE_ARRAYS)
         inner = SymMatrix(sine_congruence(mu ** (1.0 - q) * kappa**q))
     triple = DiscreteGelfandTriple(
         n=n, mass=mass, inner=inner, stiffness=stiffness, j_fine=j_fine, h=h, q=float(q)
@@ -272,7 +266,7 @@ def _check_dual(t: DiscreteGelfandTriple, g: DualVector) -> np.ndarray:
 def primal_norm(t: DiscreteGelfandTriple, f: PrimalVector) -> float:
     """H-norm of a primal element: sqrt(c^T inner c)."""
     c = _check_primal(t, f)
-    return float(np.sqrt(max(c @ (t.inner.a @ c), 0.0)))
+    return float(np.sqrt(max(c @ (t.inner @ c), 0.0)))
 
 
 def dual_norm(t: DiscreteGelfandTriple, g: DualVector) -> float:
@@ -303,7 +297,7 @@ def riesz_image(t: DiscreteGelfandTriple, f: PrimalVector) -> DualVector:
     the identification-free calculus with the identified one.
     """
     c = _check_primal(t, f)
-    return DualVector(t.inner.a @ c)
+    return DualVector(t.inner @ c)
 
 
 def riesz_preimage(t: DiscreteGelfandTriple, g: DualVector) -> PrimalVector:

@@ -77,6 +77,18 @@ class TestParsing:
         assert main(["bpx", "--J", "9..11"]) == 1
         assert bounded == []
 
+    @pytest.mark.parametrize("q", ["0.5", "0", "1.25"])
+    def test_solve_poisson_rejects_a_q_it_does_not_solve(self, tmp_path, monkeypatch, q):
+        built = []
+        monkeypatch.setattr(cli, "build_hierarchy", lambda j: built.append(j))
+        out = tmp_path / "report.json"
+        assert main(["solve-poisson", "--J", "3", "--q", q, "--output", str(out)]) == 1
+        assert built == [] and not out.exists()
+
+    def test_solve_poisson_accepts_q_one(self, tmp_path):
+        code, payload = run_to_file(tmp_path, ["solve-poisson", "--J", "3", "--q", "1"])
+        assert code == 0 and json.loads(payload)["params"]["q"] == 1.0
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
         out = tmp_path / "report.json"

@@ -112,12 +112,17 @@ def test_sine_congruence_equals_dense_product(d):
 
 
 def test_building_a_fractional_triple_does_not_load_scipy_fft():
+    # The CLI's import cost is its start-up cost: neither a fractional triple
+    # nor a banded Poisson solve may pull in another scipy subpackage.
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import framekit.cli\n"
         "from framekit.spaces import build_triple\n"
         "build_triple(5, 0.5)\n"
-        "assert 'scipy.fft' not in sys.modules, 'scipy.fft was imported'\n"
+        "assert framekit.cli.main(['solve-poisson', '--J', '4', '--output', os.devnull]) == 0\n"
+        "unwanted = ('scipy.fft', 'scipy.sparse.linalg', 'scipy.io')\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} imported'\n"
     )
     src = str(pathlib.Path(framekit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

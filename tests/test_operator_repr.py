@@ -14,7 +14,6 @@ from framekit.frames import (
     reference_frame,
 )
 from framekit.multiscale import bpx_frame, build_hierarchy
-from framekit.numerics import SymMatrix, cg_solve, solve_spd
 from framekit.operator_repr import (
     composition_check,
     conditioning_study,
@@ -412,12 +411,3 @@ class TestManufacturedProblem:
         op = poisson_operator(t)
         u = direct_solution(op, manufactured_sine_load(t))
         assert_allclose(u.coeffs, np.sin(np.pi * t.nodes), atol=1e-12)
-
-    def test_direct_solve_of_poisson_is_bit_identical_to_the_symmatrix_path(self):
-        # the stiffness matrix is already exact SymMatrix storage, so handing
-        # it to the Cholesky solve unchanged gives the same bits
-        t = build_triple(8, 1.0)
-        op = poisson_operator(t)
-        b = manufactured_sine_load(t)
-        u = direct_solution(op, b)
-        assert np.array_equal(u.coeffs, solve_spd(SymMatrix(op.matrix), b.action))

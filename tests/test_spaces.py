@@ -101,14 +101,18 @@ class TestBuildTriple:
             build_triple(14, 0.5)
 
     def test_memory_guard_runs_before_assembly_and_is_a_cli_usage_error(self, monkeypatch, capsys):
-        # pretend to have 4 MiB: a 63-node triple fits, a 511-node one does not
-        pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
-        monkeypatch.setattr(spaces.os, "sysconf", pages.__getitem__)
+        # pretend to have 1 MiB: a 63-node triple fits; a 511-node one does
+        # not, and neither does a single dense 511 x 511 array (2 MiB)
+        pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         assert build_triple(6, 0.5).n == 63
         with pytest.raises(DomainError, match="physical memory"):
             build_triple(9, 0.5)
-        assert cli.main(["rates", "--J", "8"]) == 1
+        # norm-equiv at q = 0.5 still builds a dense 511-node H^q Gram matrix
+        assert cli.main(["norm-equiv", "--q", "0.5", "--J", "8"]) == 1
         assert "physical memory" in capsys.readouterr().err
+        # rates at q = 1 builds no dense n x n array at all
+        assert cli.main(["rates", "--J", "8", "--output", os.devnull]) == 0
 
 
 class TestNorms:

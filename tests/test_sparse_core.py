@@ -1,24 +1,40 @@
 """Dense oracles for the sparse multilevel core (depths J <= 8).
 
-The prolongations, level embeddings, multilevel frame columns, the
-Poisson operator's CSR form and the frame-Galerkin action are sparse.
-Each test rebuilds the quantity the dense way and compares.
+The prolongations, level embeddings, multilevel frame columns, the grid
+mass and stiffness matrices (``Tridiagonal``), the Poisson operator's
+CSR form and banded solve, the frame-Galerkin action and the CG
+minimal-norm coefficients are sparse.  Each test rebuilds the quantity
+the dense way and compares.
 """
+
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from framekit.frames import FrameSpec, csr_columns, frame_operator_matrix
+from framekit import cli
+from framekit.errors import NotPositiveDefinite
+from framekit.frames import (
+    FrameSpec,
+    analysis,
+    csr_columns,
+    frame_operator_matrix,
+    min_norm_coefficients,
+    synthesis,
+)
 from framekit.multiscale import bpx_frame, build_hierarchy
-from framekit.numerics import cg_solve
+from framekit.numerics import SymMatrix, Tridiagonal, cg_solve, solve_spd, spd_solver
 from framekit.operator_repr import (
+    direct_solution,
     galerkin_solve,
     make_operator,
     manufactured_sine_load,
+    manufactured_sine_solution,
     matrix_representation,
     poisson_operator,
 )
-from framekit.spaces import DualVector, build_triple
+from framekit.spaces import DualVector, PrimalVector, build_triple
 
 DEPTHS = (1, 2, 5, 8)
 
@@ -135,3 +151,99 @@ def test_galerkin_solve_on_a_dense_built_frame():
     assert np.array_equal(first.coefficients, again.coefficients)
     reference = galerkin_solve(sparse_frame, poisson_operator(frame.triple), b)
     assert first.iterations == reference.iterations
+
+
+def dense_tridiagonal(n, diag, off):
+    band = np.full(n - 1, off)
+    return np.diag(np.full(n, diag)) + np.diag(band, 1) + np.diag(band, -1)
+
+
+@pytest.mark.parametrize("j_fine", [1, 2, 5, 9])
+def test_lazy_dense_views_are_read_only_and_unchanged(j_fine):
+    t = build_triple(j_fine, 1.0)
+    h = t.h
+    assert "dense" not in t.stiffness._cache  # nothing dense until asked
+    for m, diag, off in ((t.mass, 2.0 * h / 3.0, h / 6.0), (t.stiffness, 2.0 / h, -1.0 / h)):
+        assert isinstance(m, Tridiagonal)
+        assert not m.a.flags.writeable
+        assert m.a is m.a  # built once, then cached
+        assert np.array_equal(m.a, dense_tridiagonal(t.n, diag, off))
+        assert np.array_equal(m.csr.toarray(), m.a)
+    op = poisson_operator(t)
+    assert not op.matrix.flags.writeable
+    assert np.array_equal(op.matrix, dense_tridiagonal(t.n, 2.0 / h, -1.0 / h))
+
+
+@pytest.mark.parametrize("j_fine", [1, 2, 5, 9])
+def test_tridiagonal_products_and_banded_solves_match_dense(j_fine):
+    t = build_triple(j_fine, 1.0)
+    rng = np.random.default_rng(50 + j_fine)
+    for m in (t.mass, t.stiffness):
+        for x in (rng.standard_normal(t.n), rng.standard_normal((t.n, 3))):
+            dense = m.a @ x
+            assert np.abs(m @ x - dense).max() <= 1e-14 * np.abs(dense).max()
+            sol = spd_solver(m)(x)
+            assert np.linalg.norm(m.a @ sol - x) <= 1e-12 * np.linalg.norm(x)
+            ref = solve_spd(SymMatrix(m.a), x)
+            assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_banded_factor_refuses_an_indefinite_tridiagonal():
+    with pytest.raises(NotPositiveDefinite):
+        spd_solver(Tridiagonal(5, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("j_max", DEPTHS)
+def test_banded_direct_solution_matches_dense_solve_spd(j_max):
+    triple = build_hierarchy(j_max).fine_triple(1.0)
+    op = poisson_operator(triple)
+    rng = np.random.default_rng(j_max)
+    loads = [manufactured_sine_load(triple), DualVector(rng.standard_normal(triple.n))]
+    for b in loads:
+        u = direct_solution(op, b).coeffs
+        dense = solve_spd(SymMatrix(op.matrix), b.action)
+        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert isinstance(op.form, Tridiagonal)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("j_max", DEPTHS)
+def test_cg_min_norm_coefficients_match_the_cholesky_path(j_max, q):
+    hy = build_hierarchy(j_max)
+    frame = bpx_frame(hy, q)
+    dense = FrameSpec(frame.triple, frame.elements, frame.labels)
+    rng = np.random.default_rng(200 + j_max)
+    triple_1 = hy.fine_triple(1.0)
+    for f in (manufactured_sine_solution(triple_1), PrimalVector(rng.standard_normal(frame.n))):
+        c = min_norm_coefficients(frame, f)
+        oracle = min_norm_coefficients(dense, f)
+        assert "sop" not in frame._cache and "sop" in dense._cache  # CG, not Cholesky
+        assert np.linalg.norm(c - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("j_max", DEPTHS)
+def test_sparse_analysis_and_synthesis_match_the_dense_columns(j_max):
+    frame = bpx_frame(build_hierarchy(j_max), 1.0)
+    rng = np.random.default_rng(300 + j_max)
+    g = DualVector(rng.standard_normal(frame.n))
+    c = rng.standard_normal(frame.k)
+    a = analysis(frame, g)
+    s = synthesis(frame, c).coeffs
+    assert "elements" not in frame._cache  # the products ran on the CSR columns
+    ref_a = frame.elements.T @ g.action
+    ref_s = frame.elements @ c
+    assert np.abs(a - ref_a).max() <= 1e-14 * np.abs(ref_a).max()
+    assert np.abs(s - ref_s).max() <= 1e-14 * np.abs(ref_s).max()
+
+
+def test_solve_poisson_builds_no_dense_n_by_n_array():
+    # one 2047 x 2047 float64 array is 33.5 MB; the whole J = 10 run stays below it
+    limit = 8 * 2047**2
+    tracemalloc.start()
+    try:
+        code = cli.main(["solve-poisson", "--J", "10", "--output", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < limit, f"peak {peak / 1e6:.1f} MB"
