@@ -18,7 +18,6 @@ from .errors import (
     SingularOperator,
 )
 from .frames import (
-    ColumnLabel,
     DualFrameSpec,
     FrameBounds,
     FrameSpec,

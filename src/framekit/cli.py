@@ -651,8 +651,12 @@ def config_from_args(argv) -> RunConfig:
         raise UsageError(f"--seed must be non-negative, got {ns.seed}")
     if ns.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {ns.samples}")
-    if not (math.isfinite(ns.tol) and ns.tol > 0.0):
-        raise UsageError(f"--tol must be a finite positive number, got {ns.tol}")
+    if not math.isfinite(ns.q):
+        raise UsageError(f"--q must be a finite number, got {ns.q}")
+    thresholds = (("--tol", ns.tol), ("--max-ratio", ns.max_ratio), ("--max-spread", ns.max_spread))
+    for flag, value in thresholds:
+        if not (math.isfinite(value) and value > 0.0):
+            raise UsageError(f"{flag} must be a finite positive number, got {value}")
     levels = parse_level_range(ns.j_levels) if ns.j_levels else ()
     return RunConfig(**{**vars(ns), "j_levels": levels})
 

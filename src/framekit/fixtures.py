@@ -8,12 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import ColumnLabel, FrameSpec
+from .frames import FrameSpec
 from .spaces import build_triple, synthetic_triple
-
-
-def _labels(k: int) -> tuple[ColumnLabel, ...]:
-    return tuple(ColumnLabel(level=0, position=i, weight=1.0) for i in range(k))
 
 
 def fixture_f1() -> FrameSpec:
@@ -24,14 +20,14 @@ def fixture_f1() -> FrameSpec:
     """
     triple = synthetic_triple(np.eye(2))
     elements = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    return FrameSpec(triple, elements, _labels(3))
+    return FrameSpec(triple, elements)
 
 
 def fixture_f2() -> FrameSpec:
     """{e1, e1, e2, e2}: a tight frame with both bounds equal to 2."""
     triple = synthetic_triple(np.eye(2))
     elements = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-    return FrameSpec(triple, elements, _labels(4))
+    return FrameSpec(triple, elements)
 
 
 def fixture_f3() -> FrameSpec:
@@ -44,7 +40,7 @@ def fixture_f3() -> FrameSpec:
     """
     triple = synthetic_triple(np.eye(2))
     elements = np.array([[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
-    return FrameSpec(triple, elements, _labels(4))
+    return FrameSpec(triple, elements)
 
 
 def fixture_f4() -> FrameSpec:
@@ -55,7 +51,7 @@ def fixture_f4() -> FrameSpec:
     """
     triple = synthetic_triple(np.diag([2.0, 1.0]))
     elements = np.eye(2)
-    return FrameSpec(triple, elements, _labels(2))
+    return FrameSpec(triple, elements)
 
 
 FIXTURES = {

@@ -10,11 +10,13 @@ frame operator S = D C maps H' to H.  The canonical dual frame S^-1 psi_k
 lives on the dual side; applying the same machinery to it swaps the roles
 of H and H'.  No Riesz identification is used anywhere in this module.
 
-A frame built from a sparse matrix (the multilevel frames) keeps only its
-CSR columns: analysis, synthesis, E E^T and the minimal-norm coefficients
-(zero-start CG on E^T H E, no factorization) run sparse, and the dense
-``elements`` view is built only for the dense consumers (frame bounds,
-dual frames, Gramians).  A frame built dense keeps the dense kernels.
+A collection stores its column matrix E once, in the form it was built
+from (``columns``): CSR for the multilevel frames, a dense array
+otherwise.  Analysis, synthesis, E E^T and the minimal-norm coefficients
+run on that form; for a CSR frame the minimal-norm coefficients come
+from zero-start CG on E^T H E, with no factorization.  The dense
+``elements`` of a CSR frame are built only for the dense consumers
+(frame bounds, dual frames, Gramians).
 """
 
 from __future__ import annotations
@@ -44,72 +46,54 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class ColumnLabel:
-    """Per-column metadata: multiscale level, position within it, weight."""
-
-    level: int
-    position: int
-    weight: float
-
-
 class _ElementCollection:
     """Shared storage for primal and dual collections: an n x k column matrix.
 
-    A collection built from a dense array keeps it, read-only, as
-    ``elements``.  A collection built from a scipy.sparse matrix keeps
-    only its CSR columns (see ``csr_columns``): E v, E^T v, E E^T and the
-    minimal-norm coefficients then run sparse, and ``elements`` is a
-    read-only dense view built on first access and cached.
+    ``columns`` holds the matrix in the form it was built from: CSR for a
+    scipy.sparse input, otherwise a read-only dense array.  ``elements``
+    is the dense matrix: ``columns`` itself when that is dense, else a
+    read-only view built on first access and cached.
     """
 
-    def __init__(
-        self,
-        triple: DiscreteGelfandTriple,
-        elements,
-        labels: Optional[tuple[ColumnLabel, ...]] = None,
-    ):
+    def __init__(self, triple: DiscreteGelfandTriple, elements):
         self.triple = triple
-        self.labels = labels
         self._cache: dict = {}
         if sp.issparse(elements):
-            csr = sp.csr_array(elements, dtype=float)
-            self._cache["built_csr"] = csr
-            shape, values = csr.shape, csr.data
+            columns = sp.csr_array(elements, dtype=float)
+            values = columns.data
         else:
-            e = np.array(elements, dtype=float)
-            if e.ndim != 2:
+            columns = np.array(elements, dtype=float)
+            if columns.ndim != 2:
                 raise ValueError("elements must be a 2-d array (columns are members)")
-            e.setflags(write=False)
-            self._cache["elements"] = e
-            shape, values = e.shape, e
-        if shape[0] != triple.n:
+            columns.setflags(write=False)
+            values = columns
+        if columns.shape[0] != triple.n:
             raise DimensionMismatch(
-                f"elements have {shape[0]} rows, triple has dimension {triple.n}"
+                f"elements have {columns.shape[0]} rows, triple has dimension {triple.n}"
             )
-        if shape[1] < 1:
+        if columns.shape[1] < 1:
             raise ValueError("a collection needs at least one column")
         if not np.all(np.isfinite(values)):
             raise ValueError("elements must be finite")
-        if labels is not None and len(labels) != shape[1]:
-            raise DimensionMismatch("one label per column required")
-        self._shape = shape
+        self.columns = columns
 
     @property
     def elements(self) -> np.ndarray:
+        if not sp.issparse(self.columns):
+            return self.columns
         if "elements" not in self._cache:
-            e = self._cache["built_csr"].toarray()
+            e = self.columns.toarray()
             e.setflags(write=False)
             self._cache["elements"] = e
         return self._cache["elements"]
 
     @property
     def n(self) -> int:
-        return self._shape[0]
+        return self.columns.shape[0]
 
     @property
     def k(self) -> int:
-        return self._shape[1]
+        return self.columns.shape[1]
 
     def singular_values(self) -> np.ndarray:
         if "sv" not in self._cache:
@@ -174,11 +158,7 @@ AnySpec = Union[FrameSpec, DualFrameSpec]
 
 def reference_frame(triple: DiscreteGelfandTriple) -> FrameSpec:
     """The reference hat basis itself as a (Riesz basis) frame."""
-    labels = tuple(
-        ColumnLabel(level=triple.j_fine if triple.j_fine is not None else 0, position=i, weight=1.0)
-        for i in range(triple.n)
-    )
-    return FrameSpec(triple, np.eye(triple.n), labels)
+    return FrameSpec(triple, np.eye(triple.n))
 
 
 def _require_spans(spec: AnySpec) -> None:
@@ -211,7 +191,7 @@ def analysis(spec: AnySpec, vec) -> np.ndarray:
         raise TypeError(f"not a frame spec: {type(spec).__name__}")
     if data.shape[0] != spec.n:
         raise DimensionMismatch(f"vector has size {data.shape[0]}, frame rows {spec.n}")
-    return _columns(spec).T @ data
+    return spec.columns.T @ data
 
 
 def synthesis(spec: AnySpec, coefficients) -> Union[PrimalVector, DualVector]:
@@ -219,44 +199,18 @@ def synthesis(spec: AnySpec, coefficients) -> Union[PrimalVector, DualVector]:
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (spec.k,):
         raise DimensionMismatch(f"expected {spec.k} coefficients, got shape {c.shape}")
-    out = _columns(spec) @ c
+    out = spec.columns @ c
     if isinstance(spec, FrameSpec):
         return PrimalVector(out)
     return DualVector(out)
 
 
-def _columns(spec: AnySpec):
-    """The columns products run on: the CSR a collection was built from, else the dense array."""
-    csr = spec._cache.get("built_csr")
-    return spec.elements if csr is None else csr
-
-
-def csr_columns(spec: AnySpec) -> sp.csr_array:
-    """The column matrix E as CSR.
-
-    A collection built sparse returns the columns it was built from; any
-    other is converted once and the conversion is cached.
-    """
-    cache = spec._cache
-    if "built_csr" in cache:
-        return cache["built_csr"]
-    if "csr" not in cache:
-        cache["csr"] = sp.csr_array(spec.elements)
-    return cache["csr"]
-
-
 def frame_operator_matrix(spec: AnySpec) -> np.ndarray:
-    """Matrix of S = D C in the triple's representations (E E^T).
-
-    Formed from the CSR columns when the collection was built sparse;
-    a collection built from a dense array keeps the dense BLAS product.
-    """
+    """Matrix of S = D C in the triple's representations (E E^T), formed from ``columns``."""
     if "smat" not in spec._cache:
-        if "built_csr" in spec._cache:
-            e = spec._cache["built_csr"]
-            spec._cache["smat"] = (e @ e.T).toarray()
-        else:
-            spec._cache["smat"] = spec.elements @ spec.elements.T
+        e = spec.columns
+        s = e @ e.T
+        spec._cache["smat"] = s.toarray() if sp.issparse(s) else s
     return spec._cache["smat"]
 
 
@@ -304,8 +258,8 @@ def dual_frame(spec: AnySpec) -> AnySpec:
     solver = _frame_operator_solver(spec)
     dual_elements = solver(spec.elements)
     if isinstance(spec, FrameSpec):
-        return DualFrameSpec(spec.triple, dual_elements, spec.labels)
-    return FrameSpec(spec.triple, dual_elements, spec.labels)
+        return DualFrameSpec(spec.triple, dual_elements)
+    return FrameSpec(spec.triple, dual_elements)
 
 
 def reconstruct_primal(frame: FrameSpec, dual: DualFrameSpec, f: PrimalVector) -> PrimalVector:
@@ -338,7 +292,7 @@ def cross_gramian(fa: AnySpec, fb: AnySpec) -> np.ndarray:
 
 
 # Relative residual to which zero-start CG solves the minimal-norm system
-# of a sparse-built frame.  At J = 10 (q = 1) the result lies within 4e-13
+# of a CSR frame.  At J = 10 (q = 1) the result lies within 4e-13
 # relative of the dense Cholesky path; at 1e-13 the residual stalls near
 # 1.1e-13 and CG runs out of iterations.
 MIN_NORM_TOL = 1e-12
@@ -347,8 +301,8 @@ MIN_NORM_TOL = 1e-12
 def min_norm_coefficients(frame: FrameSpec, f: PrimalVector) -> np.ndarray:
     """Coefficients <f, dual_k>: the minimal-l2-norm d with synthesis(d) = f.
 
-    A frame built dense solves E E^T x = f by Cholesky and returns E^T x.
-    A frame built sparse runs zero-start CG on E^T H E d = E^T H f, with
+    A frame with dense columns solves E E^T x = f by Cholesky and returns
+    E^T x.  A CSR frame runs zero-start CG on E^T H E d = E^T H f, with
     H the triple's inner matrix: E has full row rank and H is SPD, so the
     system holds exactly when E d = f, and the zero start keeps every
     iterate in range(E^T), which makes the limit the minimal-norm d.
@@ -358,15 +312,15 @@ def min_norm_coefficients(frame: FrameSpec, f: PrimalVector) -> np.ndarray:
         raise IncompatiblePairing(f"expected PrimalVector, got {type(f).__name__}")
     if len(f) != frame.n:
         raise DimensionMismatch(f"vector has size {len(f)}, frame rows {frame.n}")
-    if "built_csr" in frame._cache:
-        e = frame._cache["built_csr"]
+    e = frame.columns
+    if sp.issparse(e):
         e_t = e.T
         h = frame.triple.inner
         rhs = e_t @ (h @ f.coeffs)
         coeffs, _ = cg_solve(lambda d: e_t @ (h @ (e @ d)), rhs, tol=MIN_NORM_TOL)
         return coeffs
     solver = _frame_operator_solver(frame)
-    return frame.elements.T @ solver(f.coeffs)
+    return e.T @ solver(f.coeffs)
 
 
 def riesz_check(frame: AnySpec) -> RieszCheck:
@@ -417,12 +371,6 @@ def frame_to_json(spec: AnySpec) -> str:
     doc = {
         "kind": "primal" if isinstance(spec, FrameSpec) else "dual",
         "triple": triple_doc,
-        "labels": None
-        if spec.labels is None
-        else [
-            {"level": l.level, "position": l.position, "weight": l.weight}
-            for l in spec.labels
-        ],
         "elements": spec.elements.tolist(),
     }
     return json.dumps(doc, sort_keys=True)
@@ -437,10 +385,4 @@ def frame_from_json(text: str) -> AnySpec:
         triple = build_triple(td["J_fine"], td["q"])
     else:
         triple = synthetic_triple(np.asarray(td["inner"]), np.asarray(td["mass"]))
-    labels = None
-    if doc["labels"] is not None:
-        labels = tuple(
-            ColumnLabel(level=l["level"], position=l["position"], weight=l["weight"])
-            for l in doc["labels"]
-        )
-    return cls(triple, np.asarray(doc["elements"], dtype=float), labels)
+    return cls(triple, np.asarray(doc["elements"], dtype=float))

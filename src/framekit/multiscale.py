@@ -7,13 +7,14 @@ makes the nesting V_j subset V_{j+1} hold without discretization error.
 
 Prolongations, level embeddings and the multilevel frame columns are
 sparse (CSR): a fine node lies in at most two hats of any level, so E_j
-has at most two nonzeros per row.  Their entries are exact dyadic values,
-and the dense views (``embed_matrix``, ``FrameSpec.elements``) equal the
-dense product chain bit for bit.  The grid mass matrices are
-``Tridiagonal`` (spaces): L^2 projections, Jackson errors and the
-telescoped norms multiply by them in O(n) and solve the level mass
-systems banded.  Pencil spectra are closed-form, so the Bernstein rates
-solve no pencil.
+has at most two nonzeros per row.  The multilevel frame stores only these
+CSR columns, one block per level in level order.  Their entries are exact
+dyadic values, and the dense views (``embed_matrix``,
+``FrameSpec.elements``) equal the dense product chain bit for bit.  The
+grid mass matrices are ``Tridiagonal`` (spaces): L^2 projections, Jackson
+errors and the telescoped norms multiply by them in O(n) and solve the
+level mass systems banded.  Pencil spectra are closed-form, so the
+Bernstein rates solve no pencil.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError
-from .frames import ColumnLabel, FrameSpec
+from .frames import FrameSpec
 from .spaces import GAMMA, DiscreteGelfandTriple, DualVector, PrimalVector, build_triple
 
 
@@ -242,8 +243,7 @@ def single_scale_system(hy: MultiscaleHierarchy, j: int) -> FrameSpec:
     which is exactly what the scaled multilevel frame needs.
     """
     hy._check_level(j)
-    labels = tuple(ColumnLabel(level=j, position=k, weight=1.0) for k in range(hy.dims[j]))
-    return FrameSpec(hy.fine_triple(), _normalized_level(hy, j), labels)
+    return FrameSpec(hy.fine_triple(), _normalized_level(hy, j))
 
 
 def single_scale_stability(hy: MultiscaleHierarchy, j: int) -> tuple[float, float]:
@@ -300,15 +300,7 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
     """
     if not 0.0 <= q < GAMMA:
         raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
-    triple = hy.fine_triple(q)
-    blocks = []
-    labels: list[ColumnLabel] = []
-    for j in hy.levels:
-        weight = 2.0 ** (-j * q)
-        blocks.append(weight * _normalized_level(hy, j))
-        labels.extend(
-            ColumnLabel(level=j, position=k, weight=weight) for k in range(hy.dims[j])
-        )
-    frame = FrameSpec(triple, sp.hstack(blocks, format="csr"), tuple(labels))
+    blocks = [2.0 ** (-j * q) * _normalized_level(hy, j) for j in hy.levels]
+    frame = FrameSpec(hy.fine_triple(q), sp.hstack(blocks, format="csr"))
     frame._cache["spans"] = True
     return frame

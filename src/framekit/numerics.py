@@ -2,14 +2,14 @@
 
 Two matrix types carry the triples' Gram matrices.  ``SymMatrix`` is a
 dense symmetric array; ``Tridiagonal`` is a symmetric tridiagonal
-Toeplitz matrix stored by its two values, whose products, CSR form and
-banded Cholesky factor cost O(n) and whose dense view is built only when
-a dense consumer asks for it.  Both apply with ``@``.  ``spd_solver``
-factors either (banded or dense Cholesky, one refinement loop), and
-``cg_solve`` takes the operator as a callable, so it serves the sparse
-layers above: CSR prolongations, level embeddings and multilevel frame
-columns (multiscale), E E^T and the minimal-norm coefficients of
-sparse-built frames (frames), and the matrix-free frame-Galerkin action
+Toeplitz matrix stored by its two values, whose products and banded
+Cholesky factor cost O(n) and whose dense view is built only when a
+dense consumer asks for it.  Each applies with ``@`` in its stored form.
+``spd_solver`` factors either (banded or dense Cholesky, one refinement
+loop), and ``cg_solve`` takes the operator as a callable, so it serves
+the sparse layers above: CSR prolongations, level embeddings and
+multilevel frame columns (multiscale), the minimal-norm coefficients of
+CSR frames (frames), and the matrix-free frame-Galerkin action
 (operator_repr).  The eigen- and SVD kernels stay dense: problem sizes
 stay at desk scale, and transparent kernels are easier to cross-check.
 All operations are pure functions of immutable inputs and are safe to
@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, Inconsistent, NoConvergence, NotPositiveDefinite
 
@@ -92,9 +91,9 @@ class Tridiagonal:
     """Symmetric tridiagonal Toeplitz matrix: ``diag`` on the diagonal, ``off`` beside it.
 
     Stored by its two values.  ``t @ x`` runs as three numpy slices (x may
-    be a vector or a block of columns).  The CSR form (``csr``) and the
-    dense view (``a``) are built on first use and cached; ``a`` is
-    read-only, and building it first checks that it fits in memory.
+    be a vector or a block of columns).  The dense view ``a`` is built on
+    first use and cached; it is read-only, and building it first checks
+    that it fits in memory.
     """
 
     n: int
@@ -118,15 +117,6 @@ class Tridiagonal:
             a.setflags(write=False)
             self._cache["dense"] = a
         return self._cache["dense"]
-
-    @property
-    def csr(self) -> sp.csr_array:
-        if "csr" not in self._cache:
-            off = np.full(self.n - 1, self.off)
-            self._cache["csr"] = sp.diags_array(
-                [off, np.full(self.n, self.diag), off], offsets=(-1, 0, 1), format="csr"
-            )
-        return self._cache["csr"]
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -356,21 +346,13 @@ def pseudo_inverse(a) -> np.ndarray:
     return vt[keep].T @ (u[:, keep] / s[keep]).T
 
 
-def null_space(a, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the numerical null space (columns)."""
+def null_space(a) -> np.ndarray:
+    """Orthonormal basis of the numerical null space (columns), cut at RANK_RTOL."""
     mat = np.atleast_2d(np.asarray(a, dtype=float))
     _, s, vt = np.linalg.svd(mat)
-    cutoff = (s[0] * rtol) if s.size else 0.0
+    cutoff = (s[0] * RANK_RTOL) if s.size else 0.0
     num_rank = int(np.count_nonzero(s > cutoff))
     return vt[num_rank:].T
-
-
-def matrix_rank(a, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank with the library-wide relative cutoff."""
-    s = np.linalg.svd(np.atleast_2d(np.asarray(a, dtype=float)), compute_uv=False)
-    if not s.size or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > s[0] * rtol))
 
 
 def write_matrix_market(target, a, comment: str = "") -> None:

@@ -7,11 +7,11 @@ representation in a frame is M = E_test^T L E_ansatz; solving the
 (possibly singular but consistent) system M u = C_Psi b by zero-start
 conjugate gradients recovers the minimal-norm coefficient vector, i.e.
 the analysis of the solution with the canonical dual frame.  The solver
-never assembles M: it applies E^T L E through the CSR forms of the frame
-columns and of the operator matrix.  The Poisson operator keeps the grid
-stiffness as a ``Tridiagonal``, so its direct solve is banded and its
-dense matrix is built only for the dense consumers (matrix identities,
-LU solves, measured constants).
+never assembles M: it applies E^T L E with the frame's stored columns
+and the operator's stored form.  The Poisson operator stores the grid
+stiffness as a ``Tridiagonal``, so its products are O(n), its direct
+solve is banded and its dense matrix is built only for the dense
+consumers (matrix identities, LU solves, measured constants).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Union
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, NotAFrame, SingularOperator
 from .frames import (
@@ -29,7 +28,6 @@ from .frames import (
     FrameSpec,
     analysis,
     cross_gramian,
-    csr_columns,
     dual_frame,
     frame_bounds,
     frame_operator_matrix,
@@ -78,13 +76,6 @@ class OperatorSpec:
         if len(f) != self.triple.n:
             raise DimensionMismatch(f"vector has size {len(f)}, operator has {self.triple.n}")
         return DualVector(self.form @ f.coeffs)
-
-
-def _csr_matrix(op: "OperatorSpec") -> sp.csr_array:
-    """The operator matrix as CSR: kept from construction, else converted once and cached."""
-    if "csr" not in op._cache:
-        op._cache["csr"] = sp.csr_array(op.matrix)
-    return op._cache["csr"]
 
 
 def _solve_nonsingular(op: "OperatorSpec", rhs: np.ndarray) -> np.ndarray:
@@ -151,13 +142,12 @@ def poisson_operator(triple: DiscreteGelfandTriple) -> OperatorSpec:
     space norm; then continuity and ellipticity are both exactly 1: the
     inner matrix is the stiffness matrix itself, so every eigenvalue of
     the (L, inner) pencil is 1 and no eigensolve is needed.  The operator
-    keeps the stiffness ``Tridiagonal`` (-1, 2, -1)/h, so the dense matrix
-    is built only if a dense consumer asks for it, and takes its CSR form
-    from it.
+    stores the stiffness ``Tridiagonal`` (-1, 2, -1)/h, so the dense
+    matrix is built only if a dense consumer asks for it.
     """
     if triple.q != 1.0:
         raise DomainError(f"poisson_operator needs a q = 1 triple, got q = {triple.q}")
-    op = OperatorSpec(
+    return OperatorSpec(
         triple=triple,
         form=triple.stiffness,
         symmetric=True,
@@ -165,8 +155,6 @@ def poisson_operator(triple: DiscreteGelfandTriple) -> OperatorSpec:
         continuity=1.0,
         ellipticity=1.0,
     )
-    op._cache["csr"] = triple.stiffness.csr
-    return op
 
 
 def operator_norm(op: OperatorSpec) -> float:
@@ -355,9 +343,10 @@ def galerkin_solve(
 
     Forms the load vector C_Psi b and runs zero-start conjugate gradients
     on M = Psi^T L Psi, applied matrix-free as v -> E^T (L (E v)) with
-    the CSR frame columns and operator matrix.  The system is singular
-    whenever the frame is redundant, but it is consistent, and the zero
-    start makes CG converge to the minimal-norm coefficients <u, dual_k>.
+    the frame's ``columns`` and the operator's ``form``.  The system is
+    singular whenever the frame is redundant, but it is consistent, and
+    the zero start makes CG converge to the minimal-norm coefficients
+    <u, dual_k>.
     """
     if not (op.symmetric and op.elliptic):
         raise DomainError("galerkin_solve requires a symmetric elliptic operator")
@@ -365,9 +354,9 @@ def galerkin_solve(
         raise NotAFrame(f"collection has rank {f.rank} < dimension {f.n}")
     if f.n != op.triple.n:
         raise DimensionMismatch("frame and operator live on different dimensions")
-    e = csr_columns(f)
+    e = f.columns
     e_t = e.T
-    lmat = _csr_matrix(op)
+    lmat = op.form
 
     def apply_m(v: np.ndarray) -> np.ndarray:
         return e_t @ (lmat @ (e @ v))
@@ -442,7 +431,6 @@ class ConditioningRow:
 class ConditioningStudy:
     """Per-level comparison of the multilevel frame system with the plain one (q = 1)."""
 
-    tol: float
     rows: tuple[ConditioningRow, ...]
 
 
@@ -488,7 +476,7 @@ def conditioning_study(j_values, tol: float = 1e-8) -> ConditioningStudy:
     a factor of about 4 per level.
     """
     rows = tuple(conditioning_row(j, tol=tol) for j in j_values)
-    return ConditioningStudy(tol=tol, rows=rows)
+    return ConditioningStudy(rows=rows)
 
 
 def effective_condition_number(m) -> float:

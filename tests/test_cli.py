@@ -95,6 +95,24 @@ class TestParsing:
         assert main(["solve-poisson", "--J", "2", "--tol", tol, "--output", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--fixture", "F1", "--q", "nan"],
+            ["dual", "--q", "inf"],
+            ["rates", "--q", "-inf"],
+            ["norm-equiv", "--max-spread", "inf"],
+            ["norm-equiv", "--max-spread", "0"],
+            ["bpx", "--max-ratio", "nan"],
+            ["bpx", "--max-ratio", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_threshold_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--output", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_bounds_byte_identical(self, tmp_path):

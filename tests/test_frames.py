@@ -436,9 +436,12 @@ class TestSerialization:
         back = frame_from_json(text)
         assert isinstance(back, FrameSpec)
         assert np.array_equal(back.elements, spec.elements)
-        assert back.labels == spec.labels
         assert back.triple.j_fine == spec.triple.j_fine
         assert frame_to_json(back) == text  # byte-identical re-serialization
+        # a descriptor written with the former per-column "labels" key still loads
+        doc = json.loads(text)
+        doc["labels"] = [{"level": 0, "position": i, "weight": 1.0} for i in range(spec.k)]
+        assert np.array_equal(frame_from_json(json.dumps(doc)).elements, spec.elements)
 
     def test_synthetic_frame_round_trip(self):
         spec = fixture_f4()

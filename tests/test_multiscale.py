@@ -237,11 +237,6 @@ class TestSingleScale:
         norms = np.sqrt(np.einsum("ij,ij->j", spec.elements, mass @ spec.elements))
         assert_allclose(norms, np.ones(spec.k), atol=1e-12)
 
-    def test_labels_carry_level_and_position(self):
-        spec = single_scale_system(build_hierarchy(3), 1)
-        assert [l.level for l in spec.labels] == [1, 1, 1]
-        assert [l.position for l in spec.labels] == [0, 1, 2]
-
 
 class TestNormEquivalence:
     def test_ratios_within_fixed_interval(self):
@@ -290,9 +285,16 @@ class TestBpxFrame:
         assert b.lower > 0.0 and np.isfinite(b.upper)
 
     def test_weights_follow_levels(self):
-        spec = bpx_frame(build_hierarchy(2), 1.0)
-        weights = sorted({l.weight for l in spec.labels}, reverse=True)
-        assert_allclose(weights, [1.0, 0.5, 0.25])
+        # level block j (hy.dims[j] columns, in level order) has L^2 column norms 2^(-jq)
+        hy = build_hierarchy(3)
+        mass = hy.fine_triple().mass.a
+        starts = np.cumsum((0,) + hy.dims)
+        for q in (0.5, 1.0):
+            spec = bpx_frame(hy, q)
+            assert spec.k == starts[-1]
+            norms = np.sqrt(np.einsum("ij,ij->j", spec.elements, mass @ spec.elements))
+            for j in hy.levels:
+                assert_allclose(norms[starts[j]:starts[j + 1]], 2.0 ** (-j * q), rtol=1e-12)
 
     def test_redundant_but_spanning(self):
         spec = bpx_frame(build_hierarchy(3), 1.0)

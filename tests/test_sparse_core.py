@@ -2,7 +2,7 @@
 
 The prolongations, level embeddings, multilevel frame columns, the grid
 mass and stiffness matrices (``Tridiagonal``), the Poisson operator's
-CSR form and banded solve, the frame-Galerkin action and the CG
+stored form and banded solve, the frame-Galerkin action and the CG
 minimal-norm coefficients are sparse.  Each test rebuilds the quantity
 the dense way and compares.
 """
@@ -12,13 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from framekit import cli
 from framekit.errors import NotPositiveDefinite
 from framekit.frames import (
     FrameSpec,
     analysis,
-    csr_columns,
     frame_operator_matrix,
     min_norm_coefficients,
     synthesis,
@@ -82,7 +82,8 @@ def test_bpx_elements_unchanged(j_max, q):
     assert isinstance(frame.elements, np.ndarray)
     assert not frame.elements.flags.writeable
     assert np.array_equal(frame.elements, dense_bpx_elements(hy, q))
-    assert np.array_equal(csr_columns(frame).toarray(), frame.elements)
+    assert sp.issparse(frame.columns)  # a frame built sparse keeps its CSR
+    assert np.array_equal(frame.columns.toarray(), frame.elements)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
@@ -92,14 +93,15 @@ def test_recorded_spans_verdict_equals_the_svd_rank_test(j_max, q):
     frame = bpx_frame(hy, q)
     assert frame.spans
     assert "sv" not in frame._cache  # the verdict was recorded, not measured
-    svd_verdict = FrameSpec(frame.triple, frame.elements, frame.labels).spans
+    svd_verdict = FrameSpec(frame.triple, frame.elements).spans
     assert frame.spans == svd_verdict
 
 
 @pytest.mark.parametrize("j_max", DEPTHS)
 def test_frame_operator_from_csr_matches_the_dense_product(j_max):
     frame = bpx_frame(build_hierarchy(j_max), 1.0)
-    dense = FrameSpec(frame.triple, frame.elements, frame.labels)
+    dense = FrameSpec(frame.triple, frame.elements)
+    assert dense.columns is dense.elements  # a frame built dense stores one dense array
     s_sparse = frame_operator_matrix(frame)
     s_dense = frame_operator_matrix(dense)
     assert isinstance(s_sparse, np.ndarray)
@@ -117,7 +119,7 @@ def test_poisson_constants_match_the_measured_ones(j_fine):
     assert abs(op.ellipticity - measured.ellipticity) <= 1e-10
     assert (op.symmetric, op.elliptic) == (measured.symmetric, measured.elliptic)
     assert np.array_equal(op.matrix, measured.matrix)
-    assert np.array_equal(op._cache["csr"].toarray(), op.matrix)
+    assert op.form is triple.stiffness
 
 
 @pytest.mark.parametrize("j_max", [1, 2, 3, 5, 8])
@@ -140,17 +142,19 @@ def test_galerkin_solve_matches_dense_matrix_cg(j_max):
 
 
 def test_galerkin_solve_on_a_dense_built_frame():
-    # a frame built from a dense array is converted to CSR once and cached
+    # a dense frame and a dense operator apply in their dense forms
     sparse_frame = bpx_frame(build_hierarchy(4), 1.0)
-    frame = FrameSpec(sparse_frame.triple, sparse_frame.elements, sparse_frame.labels)
+    frame = FrameSpec(sparse_frame.triple, sparse_frame.elements)
     op = make_operator(frame.triple, frame.triple.stiffness.a)
     b = manufactured_sine_load(frame.triple)
     first = galerkin_solve(frame, op, b)
-    assert "csr" in frame._cache and "csr" in op._cache
+    assert isinstance(frame.columns, np.ndarray) and isinstance(op.form, np.ndarray)
     again = galerkin_solve(frame, op, b)
     assert np.array_equal(first.coefficients, again.coefficients)
     reference = galerkin_solve(sparse_frame, poisson_operator(frame.triple), b)
     assert first.iterations == reference.iterations
+    rel = np.linalg.norm(first.coefficients - reference.coefficients)
+    assert rel <= 1e-10 * np.linalg.norm(reference.coefficients)
 
 
 def dense_tridiagonal(n, diag, off):
@@ -168,7 +172,7 @@ def test_lazy_dense_views_are_read_only_and_unchanged(j_fine):
         assert not m.a.flags.writeable
         assert m.a is m.a  # built once, then cached
         assert np.array_equal(m.a, dense_tridiagonal(t.n, diag, off))
-        assert np.array_equal(m.csr.toarray(), m.a)
+        assert np.array_equal(m @ np.eye(t.n), m.a)
     op = poisson_operator(t)
     assert not op.matrix.flags.writeable
     assert np.array_equal(op.matrix, dense_tridiagonal(t.n, 2.0 / h, -1.0 / h))
@@ -211,7 +215,7 @@ def test_banded_direct_solution_matches_dense_solve_spd(j_max):
 def test_cg_min_norm_coefficients_match_the_cholesky_path(j_max, q):
     hy = build_hierarchy(j_max)
     frame = bpx_frame(hy, q)
-    dense = FrameSpec(frame.triple, frame.elements, frame.labels)
+    dense = FrameSpec(frame.triple, frame.elements)
     rng = np.random.default_rng(200 + j_max)
     triple_1 = hy.fine_triple(1.0)
     for f in (manufactured_sine_solution(triple_1), PrimalVector(rng.standard_normal(frame.n))):
