@@ -42,6 +42,7 @@ from .multiscale import (
     MultiscaleHierarchy,
     RateReport,
     bernstein_rate,
+    bpx_bounds,
     bpx_frame,
     build_hierarchy,
     jackson_rate,

@@ -35,7 +35,14 @@ from .frames import (
     reconstruct_primal,
     reference_frame,
 )
-from .multiscale import bernstein_rate, bpx_frame, build_hierarchy, jackson_rate, norm_equivalence_ratio
+from .multiscale import (
+    bernstein_rate,
+    bpx_bounds,
+    bpx_frame,
+    build_hierarchy,
+    jackson_rate,
+    norm_equivalence_ratio,
+)
 from .operator_repr import (
     composition_check,
     direct_solution,
@@ -296,7 +303,7 @@ def _cmd_bpx(cfg: RunConfig, rng):
 
     def one(j):
         hy = build_hierarchy(j)
-        b = frame_bounds(bpx_frame(hy, cfg.q))
+        b = bpx_bounds(hy, cfg.q)
         return {
             "J": j,
             "lower": b.lower,

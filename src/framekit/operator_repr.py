@@ -29,7 +29,6 @@ from .frames import (
     analysis,
     cross_gramian,
     dual_frame,
-    frame_bounds,
     frame_operator_matrix,
     synthesis,
 )
@@ -442,13 +441,13 @@ PROBE_SEED = 2718281
 
 def conditioning_row(j_max: int, tol: float = 1e-8) -> ConditioningRow:
     """One study row: bounds and CG counts at a single hierarchy depth, with q = 1."""
-    from .multiscale import bpx_frame, build_hierarchy
+    from .multiscale import bpx_bounds, bpx_frame, build_hierarchy
 
     hy = build_hierarchy(j_max)
     frame = bpx_frame(hy, 1.0)
     triple = hy.fine_triple(1.0)
     op = poisson_operator(triple)
-    bounds = frame_bounds(frame)
+    bounds = bpx_bounds(hy, 1.0)
     probe = DualVector(
         np.random.default_rng(PROBE_SEED + j_max).standard_normal(triple.n)
     )

@@ -188,8 +188,10 @@ def stiffness_condition_number(n: int) -> float:
 # array; filling it peaks at about 2 such arrays (the Toeplitz part plus
 # the Hankel temporary, measured with tracemalloc at j_fine = 11).  The
 # guard counts 5 to leave room for the dense consumers of the Gram matrix
-# (frame bounds form inner * E E^T * inner and solve its pencil); with 2,
+# (the generic ``frames.frame_bounds`` forms inner * E E^T * inner and
+# solves its pencil; dual frames and Gramians multiply by it); with 2,
 # a j_fine = 14 triple would start a 4.3 GB fill on an 8 GB machine.
+# The multilevel frame's bounds (``multiscale.bpx_bounds``) need no triple.
 DENSE_ARRAYS = 5
 
 

@@ -73,7 +73,7 @@ class TestParsing:
 
     def test_bpx_checks_every_depth_before_any_bounds(self, monkeypatch):
         bounded = []
-        monkeypatch.setattr(cli, "frame_bounds", lambda frame: bounded.append(frame))
+        monkeypatch.setattr(cli, "bpx_bounds", lambda hy, q: bounded.append(hy))
         assert main(["bpx", "--J", "9..11"]) == 1
         assert bounded == []
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import framekit.frames as frames
+import framekit.multiscale as multiscale
 from framekit.errors import DimensionMismatch, DomainError
 from framekit.frames import frame_bounds, riesz_check
 from framekit.multiscale import (
     bernstein_rate,
+    bpx_bounds,
     bpx_frame,
     build_hierarchy,
     jackson_rate,
@@ -17,7 +20,7 @@ from framekit.multiscale import (
     single_scale_system,
     telescope,
 )
-from framekit.spaces import DualVector, PrimalVector, build_triple, dual_norm
+from framekit.spaces import DualVector, PrimalVector, _grid_pencil, build_triple, dual_norm
 
 
 def hat_value(x, center, width):
@@ -318,6 +321,62 @@ class TestBpxFrame:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             bpx_frame(build_hierarchy(2), 1.5)
+
+
+def relative_max_error(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+class TestBpxBounds:
+    @pytest.mark.parametrize("q", (0.0, 0.5, 1.0, 1.25))
+    def test_full_spectrum_matches_the_dense_pencil(self, q):
+        # Dense frame_bounds is the oracle, within 1e-10 relative.  At q = 1.25
+        # the dense pencil (H E E^T H, H) itself loses about eps * cond(H^q) on
+        # its small eigenvalues (5.7e-10 on the lower bound at J = 9), so that
+        # exponent is held to 1e-8.
+        rtol = 1e-8 if q == 1.25 else 1e-10
+        for j in range(1, 10):
+            hy = build_hierarchy(j)
+            got = bpx_bounds(hy, q)
+            want = frame_bounds(bpx_frame(hy, q))
+            assert got.spectrum.n == want.spectrum.n == hy.fine_triple().n
+            assert relative_max_error(got.spectrum.eigenvalues, want.spectrum.eigenvalues) <= rtol
+            assert got.spectrum.rank == want.spectrum.rank
+            assert np.all(np.diff(got.spectrum.eigenvalues) >= 0.0)
+            assert (got.lower, got.upper) == (got.spectrum.min, got.spectrum.max)
+
+    @pytest.mark.parametrize("j", (6, 8))
+    def test_sine_basis_operator_is_block_diagonal_over_2adic_classes(self, j):
+        # T = B B^T with B = diag(sqrt d) Q^T E, whose eigenvalues are the frame bounds'
+        hy = build_hierarchy(j)
+        q = 0.5
+        n = hy.fine_triple().n
+        modes = np.arange(1, n + 1)
+        sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(modes, modes) / (n + 1))
+        kappa, mu = _grid_pencil(n)
+        d = mu ** (1.0 - q) * kappa**q
+        assert_allclose((sines * d) @ sines.T, hy.fine_triple(q).inner.a, rtol=0, atol=1e-12 * d.max())
+        b = np.sqrt(d)[:, None] * (sines.T @ bpx_frame(hy, q).elements)
+        t = b @ b.T
+        cls = modes & -modes
+        off_class = cls[:, None] != cls[None, :]
+        assert np.count_nonzero(off_class) > 0
+        assert np.abs(t[off_class]).max() <= 1e-11 * np.abs(t).max()
+
+    def test_builds_no_triple_and_solves_no_pencil(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(multiscale, "build_triple", refuse)
+        monkeypatch.setattr(frames, "generalized_eigs", refuse)
+        hy = build_hierarchy(5)
+        assert bpx_bounds(hy, 0.5).lower > 0.0
+        assert not [key for key in hy._cache if key[0] in ("fine", "level")]  # no triple cached
+
+    @pytest.mark.parametrize("q", (-0.1, 1.5, 2.0))
+    def test_domain_error_outside_the_hat_range(self, q):
+        with pytest.raises(DomainError):
+            bpx_bounds(build_hierarchy(2), q)
 
 
 class TestSampling:

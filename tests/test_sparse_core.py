@@ -74,6 +74,16 @@ def test_csr_embeddings_equal_the_dense_chain_bit_for_bit(j_max):
         assert np.array_equal(e, dense_embedding(hy, j))
 
 
+@pytest.mark.parametrize("j_max", DEPTHS)
+def test_restriction_is_the_cached_csr_transpose_of_the_embedding(j_max):
+    hy = build_hierarchy(j_max)
+    for j in hy.levels:
+        r = hy.restriction(j)
+        assert isinstance(r, sp.csr_array)
+        assert r is hy.restriction(j)
+        assert np.array_equal(r.toarray(), dense_embedding(hy, j).T)
+
+
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("j_max", DEPTHS)
 def test_bpx_elements_unchanged(j_max, q):
