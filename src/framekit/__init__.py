@@ -27,10 +27,8 @@ from .frames import (
     dual_frame,
     equivalent_inner_product,
     frame_bounds,
-    frame_from_json,
     frame_operator_apply,
     frame_operator_matrix,
-    frame_to_json,
     min_norm_coefficients,
     reconstruct_dual,
     reconstruct_primal,
@@ -50,8 +48,6 @@ from .multiscale import (
     norm_equivalence_ratio,
     prolong_to_fine,
     sample_on_fine_grid,
-    single_scale_stability,
-    single_scale_system,
     telescope,
 )
 from .numerics import (
@@ -63,7 +59,6 @@ from .numerics import (
     generalized_eigs,
     min_norm_solve,
     solve_spd,
-    write_matrix_market,
 )
 from .operator_repr import (
     ConditioningStudy,
@@ -73,21 +68,16 @@ from .operator_repr import (
     composition_check,
     conditioning_study,
     direct_solution,
-    effective_condition_number,
     galerkin_solve,
     gram_identity_check,
-    inverse_operator_norm,
     inverse_representation,
     make_operator,
     manufactured_sine_load,
     manufactured_sine_solution,
     matrix_representation,
     operator_from_matrix,
-    operator_norm,
     poisson_operator,
     pseudo_inverse_identity_check,
-    sample_table,
-    write_sample_table,
 )
 from .spaces import (
     DiscreteGelfandTriple,

@@ -298,11 +298,10 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
 
 def _cmd_bpx(cfg: RunConfig, rng):
     levels = cfg.j_levels or tuple(range(2, 8))
-    for j in levels:  # reject a depth past the cap before any bounds are computed
-        build_hierarchy(j)
+    # each depth's hierarchy is built once, up front: a depth past the cap fails before any bounds
+    hierarchies = [build_hierarchy(j) for j in levels]
 
-    def one(j):
-        hy = build_hierarchy(j)
+    def one(j, hy):
         b = bpx_bounds(hy, cfg.q)
         return {
             "J": j,
@@ -312,7 +311,7 @@ def _cmd_bpx(cfg: RunConfig, rng):
             "kappa_single": stiffness_condition_number(hy.dims[j]),
         }
 
-    rows_data = [one(j) for j in levels]
+    rows_data = [one(j, hy) for j, hy in zip(levels, hierarchies)]
     results = {"q": cfg.q, "rows": rows_data}
     ratios = [r["ratio"] for r in rows_data]
     checks = []
@@ -579,7 +578,7 @@ def run(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     try:
         results, checks, rows = handler(config, rng)
-    except (DomainError, KeyError) as exc:
+    except DomainError as exc:
         raise UsageError(str(exc)) from None
     except FramekitError as exc:
         results = {"error": str(exc)}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .frames import FrameSpec
 from .spaces import build_triple, synthetic_triple
 
@@ -70,10 +71,10 @@ FIXTURE_NOTES = {
 
 
 def by_name(name: str) -> FrameSpec:
-    try:
-        return FIXTURES[name.upper()]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}") from None
+    """The fixture of that name (any case); an unknown name is a DomainError."""
+    if name.upper() not in FIXTURES:
+        raise DomainError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}")
+    return FIXTURES[name.upper()]()
 
 
 def random_spanning_frame(rng: np.random.Generator, j_fine: int, q: float, k: int) -> FrameSpec:

@@ -21,7 +21,6 @@ from zero-start CG on E^T H E, with no factorization.  The dense
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,13 +36,7 @@ from .numerics import (
     generalized_eigs,
     spd_solver,
 )
-from .spaces import (
-    DiscreteGelfandTriple,
-    DualVector,
-    PrimalVector,
-    build_triple,
-    synthetic_triple,
-)
+from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector
 
 
 class _ElementCollection:
@@ -351,38 +344,3 @@ def equivalent_inner_product(frame: FrameSpec, f: DualVector, g: DualVector) -> 
     fa = analysis(frame, f)
     ga = analysis(frame, g)
     return float(fa @ ga)
-
-
-# -- JSON serialization -------------------------------------------------------
-
-_KINDS = {"primal": FrameSpec, "dual": DualFrameSpec}
-
-
-def frame_to_json(spec: AnySpec) -> str:
-    """Serialize a frame to a JSON descriptor (deterministic byte layout)."""
-    t = spec.triple
-    if t.j_fine is not None:
-        triple_doc = {"J_fine": t.j_fine, "q": t.q}
-    else:
-        triple_doc = {
-            "inner": t.inner.a.tolist(),
-            "mass": t.mass.a.tolist(),
-        }
-    doc = {
-        "kind": "primal" if isinstance(spec, FrameSpec) else "dual",
-        "triple": triple_doc,
-        "elements": spec.elements.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def frame_from_json(text: str) -> AnySpec:
-    """Rebuild a frame from its JSON descriptor."""
-    doc = json.loads(text)
-    cls = _KINDS[doc["kind"]]
-    td = doc["triple"]
-    if "J_fine" in td:
-        triple = build_triple(td["J_fine"], td["q"])
-    else:
-        triple = synthetic_triple(np.asarray(td["inner"]), np.asarray(td["mass"]))
-    return cls(triple, np.asarray(doc["elements"], dtype=float))

@@ -14,10 +14,11 @@ dyadic values, and the dense views (``embed_matrix``,
 grid mass matrices are ``Tridiagonal`` (spaces): L^2 projections, Jackson
 errors and the telescoped norms multiply by them in O(n), restrict with
 each level's cached CSR transpose E_j^T and solve the level mass systems
-banded.  Pencil spectra are closed-form, so the Bernstein rates solve no
-pencil.  The multilevel frame's bounds (``bpx_bounds``) are reduced in
-the sine basis, where they split into one small symmetric eigenproblem
-per 2-adic class of mode indices; no n x n grid matrix is formed.
+banded.  The Bernstein rates read the closed-form level spectra
+(``spaces.grid_spectrum``) and build no level triple.  The multilevel
+frame's bounds (``bpx_bounds``) are reduced in the sine basis, where they
+split into one small symmetric eigenproblem per 2-adic class of mode
+indices; no n x n grid matrix is formed.
 ``frames.frame_bounds`` stays the generic dense pencil and their oracle.
 """
 
@@ -33,7 +34,16 @@ import scipy.sparse as sp
 from .errors import DimensionMismatch, DomainError
 from .frames import FrameBounds, FrameSpec
 from .numerics import PencilSpectrum
-from .spaces import GAMMA, DiscreteGelfandTriple, DualVector, PrimalVector, _grid_pencil, build_triple
+from .spaces import (
+    GAMMA,
+    DiscreteGelfandTriple,
+    DualVector,
+    PrimalVector,
+    _grid_pencil,
+    build_triple,
+    dual_norm,
+    grid_spectrum,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,12 +243,12 @@ def bernstein_rate(hy: MultiscaleHierarchy, q: float, fit_lo: int = 2) -> RateRe
 
     Grows like 2^(2jq): factor 4 per level for q = 1, factor 2 for
     q = 1/2, and identically 1 for q = 0.  The value is the largest
-    eigenvalue of the level triple's (inner, mass) pencil, read from the
-    spectrum the grid triple records in closed form (``spectrum``).
+    eigenvalue of level j's (H^q Gram, mass) pencil, read from its closed
+    form (``grid_spectrum``); no level triple is built.
     """
     if not 0.0 <= q < GAMMA:
         raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
-    values = [hy.level_triple(j, q).spectrum().max for j in hy.levels]
+    values = [grid_spectrum(hy.dims[j], q).max for j in hy.levels]
     return _fit_report(hy.levels, values, fit_lo, hy.j_max)
 
 
@@ -246,29 +256,6 @@ def _normalized_level(hy: MultiscaleHierarchy, j: int) -> sp.csr_array:
     """E_j scaled so that every level-j hat has unit L^2 norm (CSR)."""
     scale = (2.0 * hy.level_h(j) / 3.0) ** -0.5
     return scale * hy.embedding(j)
-
-
-def single_scale_system(hy: MultiscaleHierarchy, j: int) -> FrameSpec:
-    """L^2-normalized level-j hats embedded into the fine grid.
-
-    Interior hats on mesh h have squared L^2 norm 2h/3; dividing by it
-    makes the level Gramians uniformly well conditioned across levels,
-    which is exactly what the scaled multilevel frame needs.
-    """
-    hy._check_level(j)
-    return FrameSpec(hy.fine_triple(), _normalized_level(hy, j))
-
-
-def single_scale_stability(hy: MultiscaleHierarchy, j: int) -> tuple[float, float]:
-    """Extreme eigenvalues of the normalized level-j mass Gramian.
-
-    These are the stability constants of the level system as a frame for
-    its own span; they stay inside a level-independent interval.
-    """
-    spec = single_scale_system(hy, j)
-    gram = spec.elements.T @ hy.fine_triple().mass.a @ spec.elements
-    w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return float(w[0]), float(w[-1])
 
 
 def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> float:
@@ -293,8 +280,6 @@ def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> 
     for j, piece in enumerate(telescope(hy, f)):
         d = piece.coeffs
         numerator += 4.0 ** (-j * q) * float(d @ (mass @ d))
-    from .spaces import dual_norm  # local import keeps module load cheap
-
     denominator = dual_norm(fine_q, g) ** 2
     return numerator / denominator
 

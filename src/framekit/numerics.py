@@ -12,6 +12,8 @@ multilevel frame columns (multiscale), the minimal-norm coefficients of
 CSR frames (frames), and the matrix-free frame-Galerkin action
 (operator_repr).  The eigen- and SVD kernels stay dense: problem sizes
 stay at desk scale, and transparent kernels are easier to cross-check.
+A grid triple's own (inner, mass) pencil is closed-form
+(``spaces.grid_spectrum``); these kernels solve it only as its oracle.
 All operations are pure functions of immutable inputs and are safe to
 call concurrently.
 """
@@ -353,10 +355,3 @@ def null_space(a) -> np.ndarray:
     cutoff = (s[0] * RANK_RTOL) if s.size else 0.0
     num_rank = int(np.count_nonzero(s > cutoff))
     return vt[num_rank:].T
-
-
-def write_matrix_market(target, a, comment: str = "") -> None:
-    """Export a dense matrix in Matrix Market (.mtx) format for external tools."""
-    from scipy.io import mmwrite
-
-    mmwrite(target, as_dense(a), comment=comment)

@@ -16,6 +16,7 @@ consumers (matrix identities, LU solves, measured constants).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -32,6 +33,7 @@ from .frames import (
     frame_operator_matrix,
     synthesis,
 )
+from .multiscale import bpx_bounds, bpx_frame, build_hierarchy
 from .numerics import (
     RANK_RTOL,
     SymMatrix,
@@ -80,8 +82,6 @@ class OperatorSpec:
 def _solve_nonsingular(op: "OperatorSpec", rhs: np.ndarray) -> np.ndarray:
     """LU solve against the operator matrix, refusing singular pivots."""
     if "lu" not in op._cache:
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             try:
@@ -154,25 +154,6 @@ def poisson_operator(triple: DiscreteGelfandTriple) -> OperatorSpec:
         continuity=1.0,
         ellipticity=1.0,
     )
-
-
-def operator_norm(op: OperatorSpec) -> float:
-    """||O||, the H -> H' operator norm, from the (L^T inner^-1 L, inner) pencil."""
-    if "norms" not in op._cache:
-        hinv_l = np.linalg.solve(op.triple.inner.a, op.matrix)
-        spectrum = generalized_eigs(SymMatrix(op.matrix.T @ hinv_l), op.triple.inner)
-        op._cache["norms"] = spectrum
-    spectrum = op._cache["norms"]
-    return float(np.sqrt(max(spectrum.max, 0.0)))
-
-
-def inverse_operator_norm(op: OperatorSpec) -> float:
-    """||O^-1||, the H' -> H norm of the inverse."""
-    operator_norm(op)
-    spectrum = op._cache["norms"]
-    if spectrum.rank < spectrum.n:
-        raise SingularOperator("operator matrix is singular, no inverse norm")
-    return float(1.0 / np.sqrt(spectrum.min))
 
 
 def matrix_representation(
@@ -390,26 +371,6 @@ def manufactured_sine_solution(triple: DiscreteGelfandTriple) -> PrimalVector:
     return PrimalVector(np.sin(np.pi * triple.nodes))
 
 
-def sample_table(triple: DiscreteGelfandTriple, f: PrimalVector) -> np.ndarray:
-    """(x, u(x)) rows over the closed grid, boundary zeros included."""
-    if triple.h is None:
-        raise DomainError("sample tables need a grid triple")
-    if len(f) != triple.n:
-        raise DimensionMismatch(f"vector has size {len(f)}, triple has {triple.n}")
-    x = np.concatenate(([0.0], triple.nodes, [1.0]))
-    u = np.concatenate(([0.0], f.coeffs, [0.0]))
-    return np.column_stack([x, u])
-
-
-def write_sample_table(path, triple: DiscreteGelfandTriple, f: PrimalVector) -> None:
-    """CSV export of a solution for external plotting."""
-    rows = sample_table(triple, f)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,u\n")
-        for x, u in rows:
-            fh.write(f"{float(x)!r},{float(u)!r}\n")
-
-
 # -- conditioning study --------------------------------------------------------
 
 
@@ -441,8 +402,6 @@ PROBE_SEED = 2718281
 
 def conditioning_row(j_max: int, tol: float = 1e-8) -> ConditioningRow:
     """One study row: bounds and CG counts at a single hierarchy depth, with q = 1."""
-    from .multiscale import bpx_bounds, bpx_frame, build_hierarchy
-
     hy = build_hierarchy(j_max)
     frame = bpx_frame(hy, 1.0)
     triple = hy.fine_triple(1.0)
@@ -452,7 +411,7 @@ def conditioning_row(j_max: int, tol: float = 1e-8) -> ConditioningRow:
         np.random.default_rng(PROBE_SEED + j_max).standard_normal(triple.n)
     )
     sol = galerkin_solve(frame, op, probe, tol=tol)
-    _, iters_single = cg_solve(lambda v: triple.stiffness.a @ v, probe.action, tol=tol)
+    _, iters_single = cg_solve(lambda v: triple.stiffness @ v, probe.action, tol=tol)
     return ConditioningRow(
         level=j_max,
         fine_dim=triple.n,
@@ -476,16 +435,6 @@ def conditioning_study(j_values, tol: float = 1e-8) -> ConditioningStudy:
     """
     rows = tuple(conditioning_row(j, tol=tol) for j in j_values)
     return ConditioningStudy(rows=rows)
-
-
-def effective_condition_number(m) -> float:
-    """Largest over smallest nonzero eigenvalue of a PSD system matrix."""
-    w = np.linalg.eigvalsh(0.5 * (np.asarray(m, float) + np.asarray(m, float).T))
-    cutoff = max(float(w[-1]), 0.0) * RANK_RTOL
-    nonzero = w[w > cutoff]
-    if nonzero.size == 0:
-        raise SingularOperator("matrix has no nonzero eigenvalues")
-    return float(nonzero[-1] / nonzero[0])
 
 
 def direct_solution(op: OperatorSpec, b: DualVector) -> PrimalVector:

@@ -14,9 +14,10 @@ common eigenbasis of the (stiffness, mass) pencil.  They are kept as
 only on request), and for q = 0 or 1 the H^q Gram matrix is one of them,
 so such a triple holds no n x n array.  For fractional q the Gram matrix
 is dense, filled from one DCT-I of its eigenvalues.  The pencil spectrum
-and the stiffness condition number are known formulas; no grid triple
-runs a dense eigensolve.  ``spectral_inner_matrix`` is the generic dense
-path for any pencil and the oracle the closed forms are tested against.
+(``grid_spectrum``) and the stiffness condition number are formulas in n
+and q: neither builds a triple or runs an eigensolve.
+``spectral_inner_matrix`` is the generic dense path for any pencil and
+the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .numerics import (
     as_dense,
     check_dense_fits,
     generalized_eig_pairs,
-    generalized_eigs,
     spd_solver,
 )
 
@@ -121,16 +121,6 @@ class DiscreteGelfandTriple:
             self._cache["mass"] = spd_solver(self.mass)
         return self._cache["mass"](rhs)
 
-    def spectrum(self) -> PencilSpectrum:
-        """Spectrum of the (inner, mass) pencil: ||v||_H^2 / ||v||_{L^2}^2 at its eigenvectors.
-
-        Grid triples record it in closed form at construction; synthetic
-        triples solve the pencil on first use and keep the result.
-        """
-        if "spectrum" not in self._cache:
-            self._cache["spectrum"] = generalized_eigs(self.inner, self.mass)
-        return self._cache["spectrum"]
-
 
 def spectral_inner_matrix(stiffness, mass, q: float) -> SymMatrix:
     """H^q Gram matrix built from the (stiffness, mass) pencil.
@@ -179,6 +169,16 @@ def _grid_pencil(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (4.0 / h) * np.sin(0.5 * theta) ** 2, (h / 3.0) * (2.0 + np.cos(theta))
 
 
+def grid_spectrum(n: int, q: float) -> PencilSpectrum:
+    """Spectrum (kappa/mu)^q of the (H^q Gram, mass) pencil on n interior nodes, in closed form.
+
+    Its eigenvalues are ||v||_{H^q}^2 / ||v||_{L^2}^2 at the sine modes,
+    ascending; no triple is built and no pencil is solved.
+    """
+    kappa, mu = _grid_pencil(n)
+    return PencilSpectrum.from_eigenvalues((kappa / mu) ** q)
+
+
 def stiffness_condition_number(n: int) -> float:
     """kappa_n / kappa_1 = cot^2(pi / (2(n+1))) of the stiffness matrix on n interior nodes."""
     return float(np.tan(0.5 * np.pi / (n + 1)) ** -2)
@@ -206,7 +206,7 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     eigenbasis (``sine_congruence``), which is what
     ``spectral_inner_matrix`` computes densely.  Mass and stiffness are
     ``Tridiagonal`` objects; only a fractional-q Gram matrix is dense.  The
-    (inner, mass) pencil spectrum (kappa/mu)^q is recorded with the triple.
+    (inner, mass) pencil spectrum is ``grid_spectrum(n, q)``.
     Raises DomainError when a fractional-q triple's dense matrices would
     not fit in physical memory.
     """
@@ -226,11 +226,9 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     else:
         check_dense_fits(n, DENSE_ARRAYS)
         inner = SymMatrix(sine_congruence(mu ** (1.0 - q) * kappa**q))
-    triple = DiscreteGelfandTriple(
+    return DiscreteGelfandTriple(
         n=n, mass=mass, inner=inner, stiffness=stiffness, j_fine=j_fine, h=h, q=float(q)
     )
-    triple._cache["spectrum"] = PencilSpectrum.from_eigenvalues((kappa / mu) ** q)
-    return triple
 
 
 def synthetic_triple(inner, mass=None) -> DiscreteGelfandTriple:

@@ -77,6 +77,13 @@ class TestParsing:
         assert main(["bpx", "--J", "9..11"]) == 1
         assert bounded == []
 
+    def test_bpx_builds_each_hierarchy_once(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_hierarchy
+        monkeypatch.setattr(cli, "build_hierarchy", lambda j: built.append(j) or real(j))
+        assert main(["bpx", "--J", "2..4", "--output", str(tmp_path / "r.json")]) == 0
+        assert built == [2, 3, 4]
+
     @pytest.mark.parametrize("q", ["0.5", "0", "1.25"])
     def test_solve_poisson_rejects_a_q_it_does_not_solve(self, tmp_path, monkeypatch, q):
         built = []
@@ -238,6 +245,14 @@ class TestExitCodes:
         cfg = RunConfig(command="bounds", fixture="F1", output=str(path))
         assert run(cfg) == 0
         assert json.loads(path.read_bytes())["results"]["ratio"] == 2.0
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(cfg, rng):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
+        with pytest.raises(KeyError):
+            main(["bounds"])
 
     def test_csv_commands_constant(self):
         assert set(CSV_COMMANDS) == {"rates", "bpx"}

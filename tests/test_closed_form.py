@@ -1,10 +1,10 @@
 """Closed-form grid pencil against the dense eigensolver oracles.
 
 Grid triples fill their H^q Gram matrix from a DCT-I of the pencil
-eigenvalues and record the pencil spectrum and the stiffness condition
-number as formulas.  Every one of these is compared here with the dense
-path it replaces: ``spectral_inner_matrix``, ``generalized_eigs`` and
-``eigvalsh``.
+eigenvalues; the pencil spectrum (``grid_spectrum``) and the stiffness
+condition number are formulas.  Every one of these is compared here with
+the dense path it replaces: ``spectral_inner_matrix``, ``generalized_eigs``
+and ``eigvalsh``.
 """
 
 import json
@@ -25,10 +25,10 @@ from framekit.numerics import generalized_eigs
 from framekit.operator_repr import conditioning_row
 from framekit.spaces import (
     build_triple,
+    grid_spectrum,
     sine_congruence,
     spectral_inner_matrix,
     stiffness_condition_number,
-    synthetic_triple,
 )
 
 FRACTIONAL_Q = (0.25, 0.5, 0.75, 1.25, 1.4)
@@ -49,27 +49,13 @@ def test_inner_matches_dense_spectral_construction(j_fine, q):
 
 @pytest.mark.parametrize("q", (0.0, 1.0) + FRACTIONAL_Q)
 @pytest.mark.parametrize("j_fine", J_FINE)
-def test_recorded_spectrum_matches_pencil_solve(j_fine, q, monkeypatch):
+def test_recorded_spectrum_matches_pencil_solve(j_fine, q):
     t = build_triple(j_fine, q)
     oracle = generalized_eigs(t.inner, t.mass)
-
-    def no_eigensolve(*args):
-        raise AssertionError("grid triple solved its pencil")
-
-    monkeypatch.setattr(spaces, "generalized_eigs", no_eigensolve)
-    recorded = t.spectrum()
-    assert relative_max_error(recorded.eigenvalues, oracle.eigenvalues) <= 1e-12
-    assert recorded.rank == oracle.rank
-    assert np.all(np.diff(recorded.eigenvalues) >= 0.0)
-
-
-def test_synthetic_triple_solves_its_pencil_once():
-    t = synthetic_triple(np.array([[4.0, 1.0], [1.0, 3.0]]), np.diag([2.0, 1.0]))
-    first = t.spectrum()
-    assert first is t.spectrum()
-    oracle = generalized_eigs(t.inner, t.mass)
-    assert np.array_equal(first.eigenvalues, oracle.eigenvalues)
-    assert first.rank == oracle.rank == 2
+    closed = grid_spectrum(t.n, q)
+    assert relative_max_error(closed.eigenvalues, oracle.eigenvalues) <= 1e-12
+    assert closed.rank == oracle.rank
+    assert np.all(np.diff(closed.eigenvalues) >= 0.0)
 
 
 @pytest.mark.parametrize("j_fine", range(1, 9))
@@ -84,6 +70,17 @@ def test_bpx_and_conditioning_row_report_the_closed_form_kappa(tmp_path):
     (row,) = json.loads(out.read_text())["results"]["rows"]
     assert row["kappa_single"] == stiffness_condition_number(15)
     assert conditioning_row(3).kappa_single == stiffness_condition_number(15)
+
+
+def test_bernstein_rate_builds_no_fractional_triple(monkeypatch):
+    def no_fill(*args):
+        raise AssertionError("bernstein_rate filled a fractional H^q Gram matrix")
+
+    monkeypatch.setattr(spaces, "sine_congruence", no_fill)
+    hy = build_hierarchy(6)
+    values = bernstein_rate(hy, 0.5).values
+    assert values == tuple(grid_spectrum(n, 0.5).max for n in hy.dims)
+    assert not any(key[0] == "level" for key in hy._cache)
 
 
 @pytest.mark.parametrize("q", (0.0, 1.0) + FRACTIONAL_Q)

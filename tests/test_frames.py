@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import subspace_angles
 
-from framekit.errors import DimensionMismatch, IncompatiblePairing, NotAFrame
+from framekit.errors import DimensionMismatch, DomainError, IncompatiblePairing, NotAFrame
 from framekit.fixtures import by_name, fixture_f1, fixture_f2, fixture_f3, fixture_f4
 from framekit.frames import (
     DualFrameSpec,
@@ -15,10 +13,8 @@ from framekit.frames import (
     dual_frame,
     equivalent_inner_product,
     frame_bounds,
-    frame_from_json,
     frame_operator_apply,
     frame_operator_matrix,
-    frame_to_json,
     min_norm_coefficients,
     reconstruct_dual,
     reconstruct_primal,
@@ -428,41 +424,8 @@ class TestEquivalentInnerProduct:
             assert induced <= np.sqrt(b.upper) * dn * (1 + 1e-9)
 
 
-class TestSerialization:
-    def test_grid_frame_round_trip(self):
-        hy = build_hierarchy(2)
-        spec = bpx_frame(hy, 1.0)
-        text = frame_to_json(spec)
-        back = frame_from_json(text)
-        assert isinstance(back, FrameSpec)
-        assert np.array_equal(back.elements, spec.elements)
-        assert back.triple.j_fine == spec.triple.j_fine
-        assert frame_to_json(back) == text  # byte-identical re-serialization
-        # a descriptor written with the former per-column "labels" key still loads
-        doc = json.loads(text)
-        doc["labels"] = [{"level": 0, "position": i, "weight": 1.0} for i in range(spec.k)]
-        assert np.array_equal(frame_from_json(json.dumps(doc)).elements, spec.elements)
-
-    def test_synthetic_frame_round_trip(self):
-        spec = fixture_f4()
-        back = frame_from_json(frame_to_json(spec))
-        assert np.array_equal(back.elements, spec.elements)
-        assert np.array_equal(back.triple.inner.a, spec.triple.inner.a)
-
-    def test_dual_spec_round_trip(self):
-        d = dual_frame(fixture_f2())
-        back = frame_from_json(frame_to_json(d))
-        assert isinstance(back, DualFrameSpec)
-        assert np.array_equal(back.elements, d.elements)
-
-    def test_payload_is_valid_json(self):
-        doc = json.loads(frame_to_json(fixture_f1()))
-        assert doc["kind"] == "primal"
-        assert len(doc["elements"]) == 2
-
-
 class TestFixtureRegistry:
     def test_lookup_by_name(self):
         assert by_name("f2").k == 4
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError):
             by_name("F9")

@@ -16,8 +16,6 @@ from framekit.multiscale import (
     norm_equivalence_ratio,
     prolong_to_fine,
     sample_on_fine_grid,
-    single_scale_stability,
-    single_scale_system,
     telescope,
 )
 from framekit.spaces import DualVector, PrimalVector, _grid_pencil, build_triple, dual_norm
@@ -211,17 +209,37 @@ class TestBernstein:
             bernstein_rate(build_hierarchy(3), 1.5)
 
 
+def level_blocks(hy):
+    """Dense level blocks of bpx_frame(hy, 0): the L^2-normalized level hats, undamped."""
+    columns = bpx_frame(hy, 0.0).columns
+    ends = np.cumsum(hy.dims)
+    return [columns[:, end - dim : end].toarray() for dim, end in zip(hy.dims, ends)]
+
+
+def level_gramians(hy):
+    mass = hy.fine_triple().mass
+    return [e.T @ (mass @ e) for e in level_blocks(hy)]
+
+
+def stability(gram):
+    w = np.linalg.eigvalsh(gram)
+    return w[0], w[-1]
+
+
 class TestSingleScale:
     def test_stability_interval_level_independent(self):
         # normalized level Gramian is tridiag(1/4, 1, 1/4): eigenvalues in (1/2, 3/2)
         hy = build_hierarchy(6)
-        for j in hy.levels:
-            lo, hi = single_scale_stability(hy, j)
+        for j, gram in zip(hy.levels, level_gramians(hy)):
+            n = hy.dims[j]
+            want = np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+            assert_allclose(gram, want, atol=1e-12)
+            lo, hi = stability(gram)
             assert 0.49 <= lo <= hi <= 1.51
 
     def test_bounds_settle_for_deep_levels(self):
         hy = build_hierarchy(6)
-        intervals = [single_scale_stability(hy, j) for j in hy.levels]
+        intervals = [stability(gram) for gram in level_gramians(hy)]
         for j in range(3, hy.j_max):
             lo_a, hi_a = intervals[j]
             lo_b, hi_b = intervals[j + 1]
@@ -229,16 +247,16 @@ class TestSingleScale:
             assert abs(hi_b - hi_a) <= 0.05 * hi_a
 
     def test_single_hat_level_is_tight(self):
-        lo, hi = single_scale_stability(build_hierarchy(2), 0)
+        lo, hi = stability(level_gramians(build_hierarchy(2))[0])
         assert lo == pytest.approx(hi)
         assert lo == pytest.approx(1.0)
 
     def test_columns_are_l2_normalized(self):
         hy = build_hierarchy(4)
-        spec = single_scale_system(hy, 2)
+        e = level_blocks(hy)[2]
         mass = hy.fine_triple().mass.a
-        norms = np.sqrt(np.einsum("ij,ij->j", spec.elements, mass @ spec.elements))
-        assert_allclose(norms, np.ones(spec.k), atol=1e-12)
+        norms = np.sqrt(np.einsum("ij,ij->j", e, mass @ e))
+        assert_allclose(norms, np.ones(e.shape[1]), atol=1e-12)
 
 
 class TestNormEquivalence:

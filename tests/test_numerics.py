@@ -18,7 +18,6 @@ from framekit.numerics import (
     null_space,
     pseudo_inverse,
     solve_spd,
-    write_matrix_market,
 )
 
 
@@ -246,16 +245,6 @@ class TestHelpers:
         k = null_space(a)
         assert k.shape == (3, 1)
         assert np.linalg.norm(a @ k) <= 1e-12
-
-    def test_matrix_market_round_trip(self, tmp_path):
-        from scipy.io import mmread
-
-        rng = np.random.default_rng(6)
-        a = random_spd(rng, 5)
-        path = tmp_path / "matrix.mtx"
-        write_matrix_market(str(path), SymMatrix(a), comment="test export")
-        back = np.asarray(mmread(str(path)))
-        assert_allclose(back, 0.5 * (a + a.T), atol=1e-12)
 
     def test_pencil_spectrum_invariants(self):
         s = PencilSpectrum(eigenvalues=np.array([0.0, 1.0, 2.0]), rank=2)
