@@ -48,7 +48,6 @@ from .multiscale import (
     norm_equivalence_ratio,
     prolong_to_fine,
     sample_on_fine_grid,
-    telescope,
 )
 from .numerics import (
     PencilSpectrum,
@@ -61,7 +60,6 @@ from .numerics import (
     solve_spd,
 )
 from .operator_repr import (
-    ConditioningStudy,
     GalerkinSolution,
     GramIdentityReport,
     OperatorSpec,

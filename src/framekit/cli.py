@@ -270,6 +270,8 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
     j_max = _single_depth(cfg, 6)
     if not 0.0 < cfg.q < 1.5:
         raise DomainError(f"norm-equiv needs 0 < q < 3/2, got {cfg.q}")
+    if cfg.samples < 2:  # the spread of one sample is 1 whatever the norms do
+        raise UsageError(f"norm-equiv needs --samples of at least 2, got {cfg.samples}")
     hy = build_hierarchy(j_max)
     n = hy.fine_triple().n
     ratios = []
@@ -298,6 +300,8 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
 
 def _cmd_bpx(cfg: RunConfig, rng):
     levels = cfg.j_levels or tuple(range(2, 8))
+    if cfg.q == 0.0 and len(levels) < 2:  # growth needs two depths to compare
+        raise UsageError(f"bpx --q 0 checks growth over depths, got the single depth {levels[0]}")
     # each depth's hierarchy is built once, up front: a depth past the cap fails before any bounds
     hierarchies = [build_hierarchy(j) for j in levels]
 

@@ -11,21 +11,24 @@ has at most two nonzeros per row.  The multilevel frame stores only these
 CSR columns, one block per level in level order.  Their entries are exact
 dyadic values, and the dense views (``embed_matrix``,
 ``FrameSpec.elements``) equal the dense product chain bit for bit.  The
-grid mass matrices are ``Tridiagonal`` (spaces): L^2 projections, Jackson
-errors and the telescoped norms multiply by them in O(n), restrict with
-each level's cached CSR transpose E_j^T and solve the level mass systems
-banded.  The Bernstein rates read the closed-form level spectra
-(``spaces.grid_spectrum``) and build no level triple.  The multilevel
-frame's bounds (``bpx_bounds``) are reduced in the sine basis, where they
-split into one small symmetric eigenproblem per 2-adic class of mode
-indices; no n x n grid matrix is formed.
+grid mass matrices are ``Tridiagonal`` (spaces): L^2 projections and
+Jackson errors multiply by them in O(n), restrict with each level's cached
+CSR transpose E_j^T and solve the level mass systems banded.  The
+multilevel norm of a functional g reads only its restrictions E_j^T g and
+their level L^2 dual norms; it never forms a primal vector from g.  A
+hierarchy keeps one triple per grid and exponent.  The Bernstein rates
+read the closed-form level spectra (``spaces.grid_spectrum``) and build
+no level triple.  The multilevel frame's bounds (``bpx_bounds``) are
+reduced in the sine basis, where they split into one small symmetric
+eigenproblem per 2-adic class of mode indices; no n x n grid matrix is
+formed.
 ``frames.frame_bounds`` stays the generic dense pencil and their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -68,16 +71,17 @@ class MultiscaleHierarchy:
 
     def fine_triple(self, q: float = 0.0) -> DiscreteGelfandTriple:
         """Triple on the finest grid, memoized per Sobolev exponent."""
-        key = ("fine", float(q))
-        if key not in self._cache:
-            self._cache[key] = build_triple(self.level_fine_index(self.j_max), q)
-        return self._cache[key]
+        return self._triple(self.level_fine_index(self.j_max), q)
 
-    def level_triple(self, j: int, q: float = 0.0) -> DiscreteGelfandTriple:
+    def level_triple(self, j: int) -> DiscreteGelfandTriple:
+        """L^2 triple on the grid of V_j; the finest level's is ``fine_triple()`` itself."""
         self._check_level(j)
-        key = ("level", j, float(q))
+        return self._triple(self.level_fine_index(j), 0.0)
+
+    def _triple(self, j_fine: int, q: float) -> DiscreteGelfandTriple:
+        key = ("triple", j_fine, float(q))
         if key not in self._cache:
-            self._cache[key] = build_triple(self.level_fine_index(j), q)
+            self._cache[key] = build_triple(j_fine, q)
         return self._cache[key]
 
     def embedding(self, j: int) -> sp.csr_array:
@@ -161,20 +165,6 @@ def sample_on_fine_grid(hy: MultiscaleHierarchy, f: Callable[[np.ndarray], np.nd
     return PrimalVector(np.asarray(f(hy.fine_triple().nodes), dtype=float))
 
 
-def telescope(hy: MultiscaleHierarchy, f: PrimalVector) -> list[PrimalVector]:
-    """Increments (P_j - P_{j-1}) f on the fine grid, with P_{-1} = 0.
-
-    The increments are mutually L^2-orthogonal and sum to P_{j_max} f.
-    """
-    pieces = []
-    prev = np.zeros(hy.fine_triple().n)
-    for j in hy.levels:
-        proj = prolong_to_fine(hy, j, l2_project(hy, j, f)).coeffs
-        pieces.append(PrimalVector(proj - prev))
-        prev = proj
-    return pieces
-
-
 @dataclass(frozen=True, eq=False)
 class RateReport:
     """Per-level quantities with a least-squares log2 slope over a fit window."""
@@ -195,12 +185,16 @@ class RateReport:
         }
 
 
-def _fit_report(levels, values, fit_lo: int, fit_hi: int) -> RateReport:
+# Lowest level of every rate fit: the coarsest levels are not yet in the asymptotic regime.
+FIT_LO = 2
+
+
+def _fit_report(levels, values, fit_hi: int) -> RateReport:
     levels = tuple(int(j) for j in levels)
     values = tuple(float(v) for v in values)
-    window = [(j, v) for j, v in zip(levels, values) if fit_lo <= j <= fit_hi]
+    window = [(j, v) for j, v in zip(levels, values) if FIT_LO <= j <= fit_hi]
     if len(window) < 2:
-        window = list(zip(levels, values))
+        raise DomainError(f"a rate needs two levels in its fit window [{FIT_LO}, {fit_hi}]")
     xs = np.array([j for j, _ in window], dtype=float)
     ys = np.log2([max(v, 1e-300) for _, v in window])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -209,25 +203,20 @@ def _fit_report(levels, values, fit_lo: int, fit_hi: int) -> RateReport:
         values=values,
         slope=float(slope),
         constant=float(2.0**intercept),
-        fit_window=(fit_lo, fit_hi),
+        fit_window=(FIT_LO, fit_hi),
     )
 
 
-def jackson_rate(
-    hy: MultiscaleHierarchy,
-    f: Callable[[np.ndarray], np.ndarray],
-    fit_lo: int = 2,
-    fit_hi: Optional[int] = None,
-) -> RateReport:
+def jackson_rate(hy: MultiscaleHierarchy, f: Callable[[np.ndarray], np.ndarray]) -> RateReport:
     """Measured projection errors ||f - P_j f||_{L^2} per level.
 
     For f with two square-integrable derivatives the errors decay like
     2^(-2j), i.e. the fitted slope is -2 (the approximation order of the
-    hats).  The fit window keeps a buffer of two levels below the fine
-    grid so the measured rate is not polluted by saturation.
+    hats).  The fit window [FIT_LO, j_max - 2] keeps a buffer of two levels
+    below the fine grid so the measured rate is not polluted by
+    saturation; a hierarchy too shallow for two levels in it is a
+    DomainError.
     """
-    if fit_hi is None:
-        fit_hi = hy.j_max - 2
     fine = hy.fine_triple()
     fv = sample_on_fine_grid(hy, f)
     mass = fine.mass
@@ -235,21 +224,22 @@ def jackson_rate(
     for j in hy.levels:
         err = fv.coeffs - prolong_to_fine(hy, j, l2_project(hy, j, fv)).coeffs
         values.append(float(np.sqrt(max(err @ (mass @ err), 0.0))))
-    return _fit_report(hy.levels, values, fit_lo, fit_hi)
+    return _fit_report(hy.levels, values, hy.j_max - 2)
 
 
-def bernstein_rate(hy: MultiscaleHierarchy, q: float, fit_lo: int = 2) -> RateReport:
+def bernstein_rate(hy: MultiscaleHierarchy, q: float) -> RateReport:
     """Largest Rayleigh quotient ||v||_{H^q}^2 / ||v||_{L^2}^2 over V_j, per level.
 
     Grows like 2^(2jq): factor 4 per level for q = 1, factor 2 for
     q = 1/2, and identically 1 for q = 0.  The value is the largest
     eigenvalue of level j's (H^q Gram, mass) pencil, read from its closed
-    form (``grid_spectrum``); no level triple is built.
+    form (``grid_spectrum``); no level triple is built.  The slope is
+    fitted over [FIT_LO, j_max].
     """
     if not 0.0 <= q < GAMMA:
         raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
     values = [grid_spectrum(hy.dims[j], q).max for j in hy.levels]
-    return _fit_report(hy.levels, values, fit_lo, hy.j_max)
+    return _fit_report(hy.levels, values, hy.j_max)
 
 
 def _normalized_level(hy: MultiscaleHierarchy, j: int) -> sp.csr_array:
@@ -259,29 +249,28 @@ def _normalized_level(hy: MultiscaleHierarchy, j: int) -> sp.csr_array:
 
 
 def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> float:
-    """Telescoped-sum-to-dual-norm ratio for a functional g.
+    """Multilevel-to-dual-norm ratio for a functional g.
 
-    Numerator: sum_j 2^(-2jq) ||(P_j - P_{j-1}) f||_{L^2}^2, where f is
-    obtained from g by the pivot identification on L^2 (a mass solve;
-    functionals cannot be projected directly, and the pivot identification
-    is the one identification the calculus allows).  Denominator: the
-    squared (H^q)' norm of g.  The ratio stays inside a fixed interval
-    over all g; degree-2 homogeneity makes it invariant under scaling g.
+    Numerator: sum_j 4^(-jq) ||(P_j - P_{j-1}) M^-1 g||_{L^2}^2 with
+    P_{-1} = 0, computed from the restrictions r_j = E_j^T g alone.  With
+    a_j = r_j^T M_j^-1 r_j = ||P_j M^-1 g||^2, the L^2-orthogonality of the
+    increments turns the sum into sum_j (4^(-jq) - 4^(-(j+1)q)) a_j, the
+    last weight being 4^(-Jq); every weight is positive, so nothing
+    cancels.  Denominator: the squared (H^q)' norm of g.  The ratio stays
+    inside a fixed interval over all g; degree-2 homogeneity makes it
+    invariant under scaling g.
     """
     if not 0.0 < q < GAMMA:
         raise DomainError(f"q must lie in (0, {GAMMA}), got {q}")
-    fine_q = hy.fine_triple(q)
-    fine_l2 = hy.fine_triple()
-    if len(g) != fine_l2.n:
-        raise DimensionMismatch(f"vector has size {len(g)}, fine grid has {fine_l2.n}")
-    f = PrimalVector(fine_l2.mass_solve(g.action))
-    mass = fine_l2.mass
+    n = hy.dims[hy.j_max]
+    if len(g) != n:
+        raise DimensionMismatch(f"vector has size {len(g)}, fine grid has {n}")
     numerator = 0.0
-    for j, piece in enumerate(telescope(hy, f)):
-        d = piece.coeffs
-        numerator += 4.0 ** (-j * q) * float(d @ (mass @ d))
-    denominator = dual_norm(fine_q, g) ** 2
-    return numerator / denominator
+    for j in hy.levels:
+        r = hy.restriction(j) @ g.action
+        weight = 4.0 ** (-j * q) - (4.0 ** (-(j + 1) * q) if j < hy.j_max else 0.0)
+        numerator += weight * float(r @ hy.level_triple(j).mass_solve(r))
+    return numerator / dual_norm(hy.fine_triple(q), g) ** 2
 
 
 def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:

@@ -231,20 +231,14 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     )
 
 
-def synthetic_triple(inner, mass=None) -> DiscreteGelfandTriple:
-    """Triple from explicit Gram matrices (no grid attached).
+def synthetic_triple(inner) -> DiscreteGelfandTriple:
+    """Triple from an explicit inner-product Gram matrix, with identity mass (no grid attached).
 
-    Used by the hand-checkable fixtures; ``mass`` defaults to the
-    identity, giving the plain Euclidean pairing.
+    Used by the hand-checkable fixtures: the pairing is the plain
+    Euclidean one.
     """
     inner_m = inner if isinstance(inner, SymMatrix) else SymMatrix(inner)
-    if mass is None:
-        mass_m = SymMatrix(np.eye(inner_m.n))
-    else:
-        mass_m = mass if isinstance(mass, SymMatrix) else SymMatrix(mass)
-    if mass_m.n != inner_m.n:
-        raise DimensionMismatch("mass and inner sizes differ")
-    return DiscreteGelfandTriple(n=inner_m.n, mass=mass_m, inner=inner_m)
+    return DiscreteGelfandTriple(n=inner_m.n, mass=SymMatrix(np.eye(inner_m.n)), inner=inner_m)
 
 
 def _check_primal(t: DiscreteGelfandTriple, f: PrimalVector) -> np.ndarray:

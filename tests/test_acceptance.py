@@ -25,7 +25,7 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def study_rows():
-    return conditioning_study(range(2, 8)).rows
+    return conditioning_study(range(2, 8))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,8 @@ def test_criterion_04_min_norm_theorem():
 
 def test_criterion_05_jackson():
     hy = fk.build_hierarchy(8)  # fine grid level 9
-    rep = fk.jackson_rate(hy, lambda x: np.sin(np.pi * x), fit_lo=2, fit_hi=6)
+    rep = fk.jackson_rate(hy, lambda x: np.sin(np.pi * x))
+    assert rep.fit_window == (2, 6)
     passed = abs(rep.slope + 2.0) <= 0.15
     report(5, "Jackson rate", passed, f"slope {rep.slope:.4f} within -2 +/- 0.15 over j=2..6")
     assert passed

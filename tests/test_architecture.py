@@ -2,8 +2,9 @@
 
 The Riesz maps exist only as test oracles in the spaces module; the frame
 calculus and the operator pipeline must never touch them.  The multiscale
-module is allowed exactly one identification, the pivot mass solve, which
-is not a Riesz map of H.
+module does not turn a functional into a primal vector either: it measures
+a functional g only through its restrictions E_j^T g and their level L^2
+dual norms.
 """
 
 import pathlib

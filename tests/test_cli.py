@@ -56,6 +56,27 @@ class TestParsing:
             assert main([command, "--samples", "0", "--output", str(out)]) == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["bpx", "--q", "0", "--J", "3"], ["norm-equiv", "--samples", "1"]]
+    )
+    def test_check_over_a_single_sample_is_usage_error(self, tmp_path, monkeypatch, argv):
+        # growth over one depth, or the spread of one ratio, would pass vacuously
+        built = []
+        monkeypatch.setattr(cli, "build_hierarchy", lambda j: built.append(j))
+        out = tmp_path / "report.json"
+        assert main(argv + ["--output", str(out)]) == 1
+        assert built == [] and not out.exists()
+
+    def test_bpx_q0_over_two_depths_runs(self, tmp_path):
+        code, payload = run_to_file(tmp_path, ["bpx", "--q", "0", "--J", "2..3"])
+        assert code == 0 and len(json.loads(payload)["results"]["rows"]) == 2
+
+    @pytest.mark.parametrize("j", ["2", "3", "4"])
+    def test_rates_without_two_fit_levels_is_usage_error(self, tmp_path, j):
+        out = tmp_path / "report.json"
+        assert main(["rates", "--J", j, "--output", str(out)]) == 1
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["dual", "--samples", "3", "--seed", "-1", "--output", str(out)]) == 1

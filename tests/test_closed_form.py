@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import framekit
 from framekit import cli, spaces
-from framekit.multiscale import bernstein_rate, build_hierarchy
+from framekit.errors import DomainError
+from framekit.multiscale import FIT_LO, bernstein_rate, build_hierarchy
 from framekit.numerics import generalized_eigs
 from framekit.operator_repr import conditioning_row
 from framekit.spaces import (
@@ -80,13 +81,17 @@ def test_bernstein_rate_builds_no_fractional_triple(monkeypatch):
     hy = build_hierarchy(6)
     values = bernstein_rate(hy, 0.5).values
     assert values == tuple(grid_spectrum(n, 0.5).max for n in hy.dims)
-    assert not any(key[0] == "level" for key in hy._cache)
+    assert not any(key[0] == "triple" for key in hy._cache)
 
 
 @pytest.mark.parametrize("q", (0.0, 1.0) + FRACTIONAL_Q)
-@pytest.mark.parametrize("j_max", (1, 3, 6))
+@pytest.mark.parametrize("j_max", (1, 2, 3, 6))
 def test_bernstein_values_match_dense_pencil_maxima(j_max, q):
     hy = build_hierarchy(j_max)
+    if j_max < FIT_LO + 1:  # the fit window [FIT_LO, j_max] holds fewer than two levels
+        with pytest.raises(DomainError):
+            bernstein_rate(hy, q)
+        return
     values = bernstein_rate(hy, q).values
     for j, value in zip(hy.levels, values):
         t = build_triple(hy.level_fine_index(j), q)

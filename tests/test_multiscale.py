@@ -16,7 +16,6 @@ from framekit.multiscale import (
     norm_equivalence_ratio,
     prolong_to_fine,
     sample_on_fine_grid,
-    telescope,
 )
 from framekit.spaces import DualVector, PrimalVector, _grid_pencil, build_triple, dual_norm
 
@@ -28,6 +27,12 @@ def hat_value(x, center, width):
 def l2_norm(hy, coeffs):
     m = hy.fine_triple().mass.a
     return float(np.sqrt(max(coeffs @ (m @ coeffs), 0.0)))
+
+
+def increments(hy, f):
+    """(P_j - P_{j-1}) f on the fine grid for j = 0..j_max, with P_{-1} = 0."""
+    projections = [prolong_to_fine(hy, j, l2_project(hy, j, f)).coeffs for j in hy.levels]
+    return [p - prev for p, prev in zip(projections, [0.0] + projections[:-1])]
 
 
 class TestHierarchy:
@@ -55,6 +60,11 @@ class TestHierarchy:
             for k in (0, hy.dims[j] // 2, hy.dims[j] - 1):
                 exact = hat_value(fine.nodes, centers[k], h_j)
                 assert np.abs(e[:, k] - exact).max() == 0.0
+
+    def test_one_triple_per_grid(self):
+        hy = build_hierarchy(3)
+        assert hy.level_triple(hy.j_max) is hy.fine_triple()
+        assert [key for key in hy._cache if key[0] == "triple"] == [("triple", 4, 0.0)]
 
     def test_prolongation_column_rank(self):
         hy = build_hierarchy(4)
@@ -110,18 +120,18 @@ class TestTelescope:
         hy = build_hierarchy(5)
         rng = np.random.default_rng(2)
         f = PrimalVector(rng.standard_normal(hy.fine_triple().n))
-        total = sum(p.coeffs for p in telescope(hy, f))
+        total = sum(increments(hy, f))
         assert np.linalg.norm(total - f.coeffs) <= 1e-12 * np.linalg.norm(f.coeffs)
 
     def test_increments_are_l2_orthogonal(self):
         hy = build_hierarchy(4)
         rng = np.random.default_rng(3)
         f = PrimalVector(rng.standard_normal(hy.fine_triple().n))
-        pieces = telescope(hy, f)
+        pieces = increments(hy, f)
         mass = hy.fine_triple().mass.a
         for a in range(len(pieces)):
             for b in range(a + 1, len(pieces)):
-                inner = pieces[a].coeffs @ (mass @ pieces[b].coeffs)
+                inner = pieces[a] @ (mass @ pieces[b])
                 assert abs(inner) <= 1e-12
 
     def test_projection_norms_monotone(self):
@@ -150,10 +160,8 @@ class TestTelescope:
             prolong_to_fine(hy, j, l2_project(hy, j, f)).coeffs for j in hy.levels
         ]
         direct = sum(w**j * l2_norm(hy, p) ** 2 for j, p in enumerate(projections))
-        increments = telescope(hy, f)
         reordered = sum(
-            (w**j / (1.0 - w)) * l2_norm(hy, d.coeffs) ** 2
-            for j, d in enumerate(increments)
+            (w**j / (1.0 - w)) * l2_norm(hy, d) ** 2 for j, d in enumerate(increments(hy, f))
         )
         diff = reordered - direct
         exact_tail = l2_norm(hy, projections[-1]) ** 2 * w ** (hy.j_max + 1) / (1.0 - w)
@@ -183,6 +191,12 @@ class TestJackson:
         spike[n // 2] = 1.0
         report = jackson_rate(hy, lambda x: spike)
         assert report.slope > -1.0  # far shallower than the smooth rate -2
+
+    @pytest.mark.parametrize("j_max", (1, 2, 3, 4))
+    def test_window_without_two_levels_is_domain_error(self, j_max):
+        # the window [2, j_max - 2] must hold two levels; no fallback to all levels
+        with pytest.raises(DomainError):
+            jackson_rate(build_hierarchy(j_max), lambda x: np.sin(np.pi * x))
 
 
 class TestBernstein:
@@ -291,6 +305,40 @@ class TestNormEquivalence:
         r2 = norm_equivalence_ratio(hy, 1.0, DualVector(2.0 * g.action))
         assert abs(r2 - r1) <= 1e-12 * r1
 
+    @pytest.mark.parametrize("q", (0.5, 1.0))
+    @pytest.mark.parametrize("j_max", (3, 5))
+    def test_matches_dense_projector_oracle(self, j_max, q):
+        # sum_j 4^(-jq) ||(P_j - P_{j-1}) M^-1 g||_M^2 / g^T H_q^-1 g, with the
+        # M-orthogonal projectors P_j = E_j (E_j^T M E_j)^-1 E_j^T M formed densely
+        hy = build_hierarchy(j_max)
+        t = build_triple(hy.level_fine_index(j_max), q)
+        m = t.mass.a
+        projectors = []
+        for j in hy.levels:
+            e = hy.embed_matrix(j)
+            projectors.append(e @ np.linalg.solve(e.T @ m @ e, e.T @ m))
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            g = rng.standard_normal(t.n)
+            f = np.linalg.solve(m, g)
+            numerator, prev = 0.0, np.zeros(t.n)
+            for j, p in enumerate(projectors):
+                d = p @ f - prev
+                numerator += 4.0 ** (-j * q) * float(d @ m @ d)
+                prev = p @ f
+            want = numerator / float(g @ np.linalg.solve(t.inner.a, g))
+            assert norm_equivalence_ratio(hy, q, DualVector(g)) == pytest.approx(want, rel=1e-12)
+
+    def test_forms_no_primal_vector_and_prolongs_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a primal vector was formed from g")
+
+        monkeypatch.setattr(multiscale, "prolong_to_fine", refuse)
+        monkeypatch.setattr(multiscale, "PrimalVector", refuse)
+        hy = build_hierarchy(4)
+        g = DualVector(np.random.default_rng(12).standard_normal(hy.dims[hy.j_max]))
+        assert norm_equivalence_ratio(hy, 0.5, g) > 0.0
+
     def test_q_zero_rejected(self):
         hy = build_hierarchy(2)
         with pytest.raises(DomainError):
@@ -389,7 +437,7 @@ class TestBpxBounds:
         monkeypatch.setattr(frames, "generalized_eigs", refuse)
         hy = build_hierarchy(5)
         assert bpx_bounds(hy, 0.5).lower > 0.0
-        assert not [key for key in hy._cache if key[0] in ("fine", "level")]  # no triple cached
+        assert not [key for key in hy._cache if key[0] == "triple"]  # no triple cached
 
     @pytest.mark.parametrize("q", (-0.1, 1.5, 2.0))
     def test_domain_error_outside_the_hat_range(self, q):

@@ -352,13 +352,13 @@ class TestGalerkinSolve:
 
 class TestConditioningStudy:
     def test_multilevel_stays_flat_while_single_level_grows(self):
-        study = conditioning_study(range(2, 6))
-        ratios = [r.ratio for r in study.rows]
-        kappas = [r.kappa_single for r in study.rows]
+        rows = conditioning_study(range(2, 6))
+        ratios = [r.ratio for r in rows]
+        kappas = [r.kappa_single for r in rows]
         assert max(ratios) <= 60.0
         for a, b in zip(kappas, kappas[1:]):
             assert b / a == pytest.approx(4.0, rel=0.2)
-        singles = [r.iterations_single for r in study.rows]
+        singles = [r.iterations_single for r in rows]
         for a, b in zip(singles, singles[1:]):
             assert b / a == pytest.approx(2.0, rel=0.25)
 
