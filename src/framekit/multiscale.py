@@ -18,10 +18,10 @@ multilevel norm of a functional g reads only its restrictions E_j^T g and
 their level L^2 dual norms; it never forms a primal vector from g.  A
 hierarchy keeps one triple per grid and exponent.  The Bernstein rates
 read the closed-form level spectra (``spaces.grid_spectrum``) and build
-no level triple.  The multilevel frame's bounds (``bpx_bounds``) are
-reduced in the sine basis, where they split into one small symmetric
-eigenproblem per 2-adic class of mode indices; no n x n grid matrix is
-formed.
+no level triple.  The multilevel frame's bounds (``bpx_bounds``) split,
+in the sine basis, into one symmetric eigenproblem per 2-adic class of
+mode indices, assembled from closed-form entries (Fejer kernels of the
+level hats): no frame column, sine table or n x n grid matrix is formed.
 ``frames.frame_bounds`` stays the generic dense pencil and their oracle.
 """
 
@@ -242,12 +242,6 @@ def bernstein_rate(hy: MultiscaleHierarchy, q: float) -> RateReport:
     return _fit_report(hy.levels, values, hy.j_max)
 
 
-def _normalized_level(hy: MultiscaleHierarchy, j: int) -> sp.csr_array:
-    """E_j scaled so that every level-j hat has unit L^2 norm (CSR)."""
-    scale = (2.0 * hy.level_h(j) / 3.0) ** -0.5
-    return scale * hy.embedding(j)
-
-
 def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> float:
     """Multilevel-to-dual-norm ratio for a functional g.
 
@@ -284,48 +278,58 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
     The frame is built from its CSR level blocks and keeps them.  It
     spans by construction: the finest block is a positive multiple of the
     identity for every q, so the verdict is recorded instead of measured.
+    An exponent outside [0, 3/2) fails in ``fine_triple``.
     """
-    frame = FrameSpec(hy.fine_triple(q), _bpx_columns(hy, q))
+    blocks = [2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * hy.embedding(j)) for j in hy.levels]
+    frame = FrameSpec(hy.fine_triple(q), sp.hstack(blocks, format="csr"))
     frame._cache["spans"] = True
     return frame
 
 
-def _bpx_columns(hy: MultiscaleHierarchy, q: float) -> sp.csr_array:
-    """Column matrix E of the scaled multilevel frame: its level blocks side by side (CSR)."""
-    if not 0.0 <= q < GAMMA:
-        raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
-    blocks = [2.0 ** (-j * q) * _normalized_level(hy, j) for j in hy.levels]
-    return sp.hstack(blocks, format="csr")
-
-
 def bpx_bounds(hy: MultiscaleHierarchy, q: float) -> FrameBounds:
-    """``frame_bounds(bpx_frame(hy, q))``, full spectrum included, with no n x n grid matrix.
+    """``frame_bounds(bpx_frame(hy, q))``, full spectrum included, from closed-form class blocks.
 
     With H^q = Q diag(d) Q^T on the sine basis Q (d = mu^(1-q) kappa^q),
     the pencil (H^q E E^T H^q, H^q) has the eigenvalues of T = B B^T,
-    B = diag(sqrt d) Q^T E.  For this frame T is block diagonal over the
-    2-adic class k & -k of the mode index k: level j's E_j E_j^T couples
-    mode k only with the modes congruent to +-k modulo 2^(j+2), which
-    share k's 2-adic valuation, and a mode divisible by 2^(j+1) is odd
-    about every level-j node, so no level-j hat sees it.  Each class
-    (k = 2^v * odd, sizes n/2, n/4, ..., 1) is one small symmetric
-    eigenproblem; its rows of Q are read from one sine table.  The split
-    needs complete, uniformly scaled dyadic levels, so it serves this
-    frame only; ``frame_bounds`` stays the generic dense path.
+    B = diag(sqrt d) Q^T E.  With n = 2^(J+1) - 1, theta_k = k pi/(n+1),
+    P_j = 2^(j+1), r_j = 2^(J-j) and the Fejer kernel F_j(k) =
+    sin^2(r_j theta_k/2) / (r_j sin^2(theta_k/2)) of the level-j hats,
+
+        T[k,k'] = sqrt(d_k d_k') sum_j 4^(-jq) (3/2) P_j^2/(n+1)
+                  F_j(k) F_j(k') ([k = k'] - [k = -k'] mod 2 P_j).
+
+    Both congruences keep the 2-adic class k & -k, so T splits into one
+    symmetric eigenproblem per class (k = 2^v * odd, sizes n/2, ..., 1).
+    The split needs complete, uniformly scaled dyadic levels, so it serves
+    this frame only; ``frame_bounds`` stays the generic dense oracle.
     """
-    e_t = _bpx_columns(hy, q).T.tocsr()
-    n = e_t.shape[1]
-    kappa, mu = _grid_pencil(n)
-    root_d = np.sqrt(mu ** (1.0 - q) * kappa**q)
-    period = 2 * (n + 1)
-    table = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
-    nodes = np.arange(1, n + 1)
-    values = []
-    step = 1
-    while step <= n:  # class of the modes k = step * odd
-        k = np.arange(step, n + 1, 2 * step)
-        b = (e_t @ table[np.outer(nodes, k) % period]) * root_d[k - 1]  # B_c^T, K x n_c
-        values.append(scipy.linalg.eigvalsh(b.T @ b, check_finite=False))
-        step *= 2
+    if not 0.0 <= q < GAMMA:
+        raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
+    values = [scipy.linalg.eigvalsh(b, check_finite=False) for _, b in _bpx_class_blocks(hy.j_max, q)]
     spectrum = PencilSpectrum.from_eigenvalues(np.sort(np.concatenate(values)))
     return FrameBounds(lower=spectrum.min, upper=spectrum.max, spectrum=spectrum)
+
+
+def _bpx_class_blocks(j_max: int, q: float):
+    """Yield (modes k, T_c) for each 2-adic class k = 2^v (2i + 1) of ``bpx_bounds``' T.
+
+    In class v, level j < v cancels itself and the finest (E_J = I) is diagonal;
+    the others' congruences read i = i' and i + i' + 1 = 0 modulo w = 2^(j+1-v),
+    so level j adds the outer products of its residue slices a = i mod w to the
+    pairs (a, a) and (a, w-1-a).
+    """
+    n = 2 ** (j_max + 1) - 1
+    kappa, mu = _grid_pencil(n)
+    d = mu ** (1.0 - q) * kappa**q
+    for v in range(j_max + 1):
+        k = np.arange(2**v, n + 1, 2 ** (v + 1))
+        block = np.diag(1.5 * (n + 1) * 4.0 ** (-j_max * q) * d[k - 1])
+        for j in range(v, j_max):
+            p, w, m = 2 ** (j + 1), 2 ** (j + 1 - v), 2 ** (j_max - j - 1)  # m = r_j / 2 = n_c / w
+            fejer = np.sin(0.5 * np.pi * k / p) ** 2 / (2 * m * np.sin(0.5 * np.pi * k / (n + 1)) ** 2)
+            g = (np.sqrt(1.5 * p * p / (n + 1) * 4.0 ** (-j * q) * d[k - 1]) * fejer).reshape(m, w).T
+            pairs = block.reshape(m, w, m, w).transpose(1, 3, 0, 2)  # pairs[a, a', t, t'], a view
+            a = np.arange(w)  # g[a, t] and pairs index i = t w + a
+            pairs[a, a] += g[:, :, None] * g[:, None, :]
+            pairs[a, a[::-1]] -= g[:, :, None] * g[::-1, None, :]
+        yield k, block

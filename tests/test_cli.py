@@ -204,6 +204,18 @@ class TestReports:
         assert results["upper"] == pytest.approx(8.0)
         assert "(1/2, 8)" in results["note"]
 
+    def test_scaling_invariance_measures_rounding(self, tmp_path):
+        # scaling g by a power of 2 is exact in binary floating point, so a
+        # deviation that reads 0.0 for every seed would measure nothing
+        deviations = []
+        for seed in range(1, 6):
+            argv = ["norm-equiv", "--q", "1", "--J", "5", "--samples", "3", "--seed", str(seed)]
+            code, payload = run_to_file(tmp_path, argv, f"{seed}.json")
+            assert code == 0
+            deviations.append(json.loads(payload)["results"]["homogeneity_deviation"])
+        assert max(deviations) > 0.0
+        assert max(deviations) <= 1e-12
+
     def test_bpx_csv_layout(self, tmp_path):
         code, payload = run_to_file(
             tmp_path, ["bpx", "--q", "1", "--J", "2..4", "--format", "csv"], "r.csv"

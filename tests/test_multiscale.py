@@ -302,7 +302,7 @@ class TestNormEquivalence:
         rng = np.random.default_rng(6)
         g = DualVector(rng.standard_normal(hy.fine_triple().n))
         r1 = norm_equivalence_ratio(hy, 1.0, g)
-        r2 = norm_equivalence_ratio(hy, 1.0, DualVector(2.0 * g.action))
+        r2 = norm_equivalence_ratio(hy, 1.0, DualVector(3.0 * g.action))  # scaling by 2 is exact
         assert abs(r2 - r1) <= 1e-12 * r1
 
     @pytest.mark.parametrize("q", (0.5, 1.0))
@@ -428,6 +428,49 @@ class TestBpxBounds:
         off_class = cls[:, None] != cls[None, :]
         assert np.count_nonzero(off_class) > 0
         assert np.abs(t[off_class]).max() <= 1e-11 * np.abs(t).max()
+
+    @pytest.mark.parametrize("q", (0.0, 0.5, 1.0))
+    @pytest.mark.parametrize("j", (5, 8))
+    def test_closed_form_class_blocks_equal_the_gram_of_the_frame_columns(self, j, q):
+        # the frame-column route: B_c^T = E^T Q_c diag(sqrt d_c), one block per 2-adic class
+        hy = build_hierarchy(j)
+        columns = bpx_frame(hy, q).columns
+        n = columns.shape[0]
+        kappa, mu = _grid_pencil(n)
+        d = mu ** (1.0 - q) * kappa**q
+        nodes = np.arange(1, n + 1)
+        seen = []
+        for k, block in multiscale._bpx_class_blocks(j, q):
+            assert np.array_equal(k & -k, np.full(len(k), k[0]))  # one 2-adic class
+            # sine rows at arguments reduced modulo the period 2(n+1), exactly, in integers
+            sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(nodes, k) % (2 * n + 2)) / (n + 1))
+            b = (columns.T @ sines) * np.sqrt(d[k - 1])
+            want = b.T @ b
+            assert block.shape == want.shape
+            assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+            seen.extend(k)
+        assert sorted(seen) == list(nodes)  # the classes partition the modes
+
+    def test_reads_no_embedding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("frame columns read")
+
+        monkeypatch.setattr(multiscale.MultiscaleHierarchy, "embedding", refuse)
+        assert bpx_bounds(build_hierarchy(6), 0.5).lower > 0.0
+
+    def test_lower_bound_is_12_to_the_q_only_for_some_exponents(self):
+        # 12^q is always an eigenvalue: the lone mode k = 2^J, where the finest
+        # level alone gives (3/2)(n+1) 4^(-Jq) d_k = 12^q.  It is the smallest
+        # one for q in {0.5, 0.75, 1}, not for every q > 0: at q = 0.25 the
+        # lower bound tends to 12^q / sqrt(2).
+        for q in (0.5, 0.75, 1.0):
+            for j in range(1, 10):
+                dense = frame_bounds(bpx_frame(build_hierarchy(j), q)).lower
+                assert abs(dense - 12.0**q) <= 1e-12 * 12.0**q
+            assert abs(bpx_bounds(build_hierarchy(10), q).lower - 12.0**q) <= 1e-12 * 12.0**q
+        for j in (4, 8):
+            dense = frame_bounds(bpx_frame(build_hierarchy(j), 0.25)).lower
+            assert dense < 0.9 * 12.0**0.25
 
     def test_builds_no_triple_and_solves_no_pencil(self, monkeypatch):
         def refuse(*args):
