@@ -594,8 +594,11 @@ def run(config: RunConfig) -> int:
     else:
         payload = render_json(report)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {config.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
     return 0 if all(c["passed"] for c in checks) else 2
@@ -662,6 +665,8 @@ def config_from_args(argv) -> RunConfig:
     for flag, value in thresholds:
         if not (math.isfinite(value) and value > 0.0):
             raise UsageError(f"{flag} must be a finite positive number, got {value}")
+    if ns.tol < sys.float_info.epsilon:  # no float64 residual can reach it
+        raise UsageError(f"--tol must be at least {sys.float_info.epsilon:.3g}, got {ns.tol}")
     levels = parse_level_range(ns.j_levels) if ns.j_levels else ()
     return RunConfig(**{**vars(ns), "j_levels": levels})
 

@@ -2,18 +2,21 @@
 
 Level j of a hierarchy holds the interior hats on the mesh of width
 2^-(j+1), so dim V_j = 2^(j+1) - 1 and V_0 is the single hat at 1/2.
-Prolongation is exact linear interpolation (stencil 1/2, 1, 1/2), which
-makes the nesting V_j subset V_{j+1} hold without discretization error.
+The nesting V_j subset V_{j+1} holds without discretization error: on
+the fine grid of level J, a level-j hat is the hat of half-width
+r = 2^(J-j) fine cells, with the exact dyadic values 1 - |m|/r at its
+2r - 1 nodes (Oswald 1994), which is r-fold linear interpolation.
 
-Prolongations, level embeddings and the multilevel frame columns are
-sparse (CSR): a fine node lies in at most two hats of any level, so E_j
-has at most two nonzeros per row.  The multilevel frame stores only these
-CSR columns, one block per level in level order.  Their entries are exact
-dyadic values, and the dense views (``embed_matrix``,
-``FrameSpec.elements``) equal the dense product chain bit for bit.  The
-grid mass matrices are ``Tridiagonal`` (spaces): L^2 projections and
-Jackson errors multiply by them in O(n), restrict with each level's cached
-CSR transpose E_j^T and solve the level mass systems banded.  The
+Each level stores one sparse form, its restriction E_j^T (CSR), built
+from that closed form and cached.  The embedding E_j is its transpose
+view, with no data of its own, and the multilevel frame stores the CSR
+columns stacked from these views, one block per level in level order.  A
+fine node lies in at most two hats of any level, so E_j has at most two
+nonzeros per row.  The dense views (``embed_matrix``,
+``FrameSpec.elements``) equal the dense product of interpolation
+matrices bit for bit.  The grid mass matrices are ``Tridiagonal``
+(spaces): L^2 projections and Jackson errors multiply by them in O(n),
+restrict with E_j^T and solve the level mass systems banded.  The
 multilevel norm of a functional g reads only its restrictions E_j^T g and
 their level L^2 dual norms; it never forms a primal vector from g.  A
 hierarchy keeps one triple per grid and exponent.  The Bernstein rates
@@ -51,11 +54,10 @@ from .spaces import (
 
 @dataclass(frozen=True, eq=False)
 class MultiscaleHierarchy:
-    """Levels 0..j_max of nested hat spaces with their prolongations."""
+    """Levels 0..j_max of nested hat spaces; each level stores only its restriction E_j^T."""
 
     j_max: int
     dims: tuple[int, ...]
-    prolongations: tuple[sp.csr_array, ...]  # prolongations[j]: V_j -> V_{j+1}
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -84,31 +86,30 @@ class MultiscaleHierarchy:
             self._cache[key] = build_triple(j_fine, q)
         return self._cache[key]
 
-    def embedding(self, j: int) -> sp.csr_array:
-        """Composite prolongation E_j taking V_j coefficients to the fine grid (CSR).
+    def restriction(self, j: int) -> sp.csr_array:
+        """E_j^T as CSR, the one stored form of level j, built once from its closed form.
 
-        Built as the product chain E_j = E_{j+1} P_j from the fine grid
-        down, each link cached, so all levels together cost one sweep.
+        With r = 2^(J-j), hat k = 1..dim_j of V_j takes the value 1 - |m|/r
+        at fine node r k - 1 + m (0-based) for |m| < r, so row k holds
+        2r - 1 exact dyadic entries in ascending column order.
         """
         self._check_level(j)
-        key = ("embed", j)
-        if key not in self._cache:
-            if j == self.j_max:
-                e = sp.eye_array(self.dims[j], format="csr")
-            else:
-                e = (self.embedding(j + 1) @ self.prolongations[j]).tocsr()
-            self._cache[key] = e
-        return self._cache[key]
-
-    def restriction(self, j: int) -> sp.csr_array:
-        """Transposed embedding E_j^T as CSR, built once per level and cached."""
         key = ("restrict", j)
         if key not in self._cache:
-            self._cache[key] = self.embedding(j).T.tocsr()
+            dim, r = self.dims[j], 2 ** (self.j_max - j)
+            m = np.arange(1 - r, r)
+            cols = (r * np.arange(1, dim + 1)[:, None] - 1 + m).ravel()
+            vals = np.tile(1.0 - np.abs(m) / r, dim)
+            indptr = (2 * r - 1) * np.arange(dim + 1)
+            self._cache[key] = sp.csr_array((vals, cols, indptr), shape=(dim, self.dims[self.j_max]))
         return self._cache[key]
 
+    def embedding(self, j: int) -> sp.csc_array:
+        """E_j, taking V_j coefficients to the fine grid: the transpose view of ``restriction(j)``."""
+        return self.restriction(j).T
+
     def embed_matrix(self, j: int) -> np.ndarray:
-        """Dense view of the composite prolongation E_j (a fresh array per call)."""
+        """Dense view of the level embedding E_j (a fresh array per call)."""
         return self.embedding(j).toarray()
 
     def _check_level(self, j: int) -> None:
@@ -116,26 +117,11 @@ class MultiscaleHierarchy:
             raise DomainError(f"level {j} outside 0..{self.j_max}")
 
 
-def prolongation_matrix(coarse_dim: int) -> sp.csr_array:
-    """Interpolation from a dyadic hat space into its refinement (CSR).
-
-    Coarse hat k is centred on fine node 2k + 1 (0-based); its column puts
-    1 there and 1/2 on the two fine neighbours.
-    """
-    fine_dim = 2 * coarse_dim + 1
-    rows = np.repeat(np.arange(coarse_dim), 3) * 2 + np.tile([0, 1, 2], coarse_dim)
-    cols = np.repeat(np.arange(coarse_dim), 3)
-    vals = np.tile([0.5, 1.0, 0.5], coarse_dim)
-    return sp.csr_array((vals, (rows, cols)), shape=(fine_dim, coarse_dim))
-
-
 def build_hierarchy(j_max: int) -> MultiscaleHierarchy:
-    """Assemble levels 0..j_max (dims 1, 3, ..., 2^(j_max+1) - 1)."""
+    """Levels 0..j_max (dims 1, 3, ..., 2^(j_max+1) - 1); level embeddings are built on first use."""
     if not 1 <= int(j_max) == j_max <= 10:
         raise DomainError(f"j_max must be an integer in [1, 10], got {j_max}")
-    dims = tuple(2 ** (j + 1) - 1 for j in range(j_max + 1))
-    prolongations = tuple(prolongation_matrix(dims[j]) for j in range(j_max))
-    return MultiscaleHierarchy(j_max=j_max, dims=dims, prolongations=prolongations)
+    return MultiscaleHierarchy(j_max=j_max, dims=tuple(2 ** (j + 1) - 1 for j in range(j_max + 1)))
 
 
 def l2_project(hy: MultiscaleHierarchy, j: int, f: PrimalVector) -> PrimalVector:

@@ -7,15 +7,14 @@ Cholesky factor cost O(n) and whose dense view is built only when a
 dense consumer asks for it.  Each applies with ``@`` in its stored form.
 ``spd_solver`` factors either (banded or dense Cholesky, one refinement
 loop), and ``cg_solve`` takes the operator as a callable, so it serves
-the sparse layers above: CSR prolongations, level embeddings and
-multilevel frame columns (multiscale), the minimal-norm coefficients of
-CSR frames (frames), and the matrix-free frame-Galerkin action
-(operator_repr).  The eigen- and SVD kernels stay dense: problem sizes
-stay at desk scale, and transparent kernels are easier to cross-check.
-A grid triple's own (inner, mass) pencil is closed-form
-(``spaces.grid_spectrum``); these kernels solve it only as its oracle.
-All operations are pure functions of immutable inputs and are safe to
-call concurrently.
+the sparse layers above: the minimal-norm coefficients of CSR frames
+(frames) and the matrix-free frame-Galerkin action on the multilevel
+frame's CSR columns (operator_repr).  The eigen- and SVD kernels stay
+dense: problem sizes stay at desk scale, and transparent kernels are
+easier to cross-check.  A grid triple's own (inner, mass) pencil is
+closed-form (``spaces.grid_spectrum``); these kernels solve it only as
+its oracle.  All operations are pure functions of immutable inputs and
+are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -273,8 +272,11 @@ def cg_solve(
     keeps every iterate inside the range of the map, so singular but
     consistent systems converge to the minimal-norm solution.
 
-    Returns (x, iterations) with ||apply_op(x) - b|| <= tol * ||b||;
-    raises NoConvergence when maxit is exhausted.
+    Returns (x, iterations) with ||apply_op(x) - b|| <= tol * ||b||.  When
+    the recursive residual meets tol but the true one does not, CG restarts
+    from the true residual.  If the next such check finds it no lower, tol
+    is below the attainable accuracy: NoConvergence reports the relative
+    true residual reached.  NoConvergence is also raised after maxit.
     """
     rhs = np.asarray(b, dtype=float)
     nb = float(np.linalg.norm(rhs))
@@ -284,6 +286,7 @@ def cg_solve(
     r = rhs.copy()
     p = r.copy()
     rs = float(r @ r)
+    restart_norm = nb  # true residual norm at the last (re)start
     for k in range(1, maxit + 1):
         ap = apply_op(p)
         pap = float(p @ ap)
@@ -298,10 +301,13 @@ def cg_solve(
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= tol * nb:
             true_r = rhs - apply_op(x)
-            if np.linalg.norm(true_r) <= tol * nb:
+            true_norm = float(np.linalg.norm(true_r))
+            if true_norm <= tol * nb:
                 return x, k
+            if true_norm >= restart_norm:
+                raise NoConvergence(k, true_norm / nb)
             # recursion drifted from the true residual: restart from it
-            r = true_r
+            r, restart_norm = true_r, true_norm
             rs = float(r @ r)
             p = r.copy()
             continue

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from dataclasses import fields
 
 import jsonschema
@@ -117,11 +118,27 @@ class TestParsing:
         code, payload = run_to_file(tmp_path, ["solve-poisson", "--J", "3", "--q", "1"])
         assert code == 0 and json.loads(payload)["params"]["q"] == 1.0
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e-300", "2e-16"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
         out = tmp_path / "report.json"
         assert main(["solve-poisson", "--J", "2", "--tol", tol, "--output", str(out)]) == 1
         assert not out.exists()
+
+    def test_unreachable_tolerance_exits_2_with_the_true_residual(self, tmp_path):
+        code, payload = run_to_file(tmp_path, ["solve-poisson", "--J", "10", "--tol", "1e-14"])
+        assert code == 2
+        message = json.loads(payload)["results"]["error"]
+        pattern = r"no convergence after (\d+) iterations \(relative residual (.+)\)"
+        iterations, residual = re.fullmatch(pattern, message).groups()
+        assert int(iterations) < 200 and 1e-14 < float(residual) < 1e-11
+
+    @pytest.mark.parametrize("name", ["missing/r.json", "."])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert main(["bounds", "--output", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write --output {path}: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

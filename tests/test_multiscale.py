@@ -456,6 +456,7 @@ class TestBpxBounds:
             raise AssertionError("frame columns read")
 
         monkeypatch.setattr(multiscale.MultiscaleHierarchy, "embedding", refuse)
+        monkeypatch.setattr(multiscale.MultiscaleHierarchy, "restriction", refuse)
         assert bpx_bounds(build_hierarchy(6), 0.5).lower > 0.0
 
     def test_lower_bound_is_12_to_the_q_only_for_some_exponents(self):

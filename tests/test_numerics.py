@@ -201,6 +201,24 @@ class TestCgSolve:
         assert err.value.iterations == 2
         assert err.value.residual > 0
 
+    def test_restart_that_lowers_the_true_residual_is_kept(self):
+        # the first k0 products use a perturbed matrix, so the recursion meets
+        # tol on the wrong system; one restart from the true residual recovers
+        rng = np.random.default_rng(3)
+        a = random_spd(rng, 10)
+        perturbed = a + 1e-3 * np.eye(10)
+        b = rng.standard_normal(10)
+        _, k0 = cg_solve(lambda v: perturbed @ v, b, tol=1e-12)
+        calls = []
+
+        def drifting(v):
+            calls.append(1)
+            return (perturbed if len(calls) <= k0 else a) @ v
+
+        x, its = cg_solve(drifting, b, tol=1e-12)
+        assert its > k0
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
 
 class TestMinNormSolve:
     def test_wide_symmetric_split(self):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from framekit.errors import DimensionMismatch, DomainError, NotAFrame, SingularOperator
+from framekit.errors import (
+    DimensionMismatch,
+    DomainError,
+    NoConvergence,
+    NotAFrame,
+    SingularOperator,
+)
 from framekit.fixtures import fixture_f1
 from framekit.frames import (
     FrameSpec,
@@ -334,6 +340,14 @@ class TestGalerkinSolve:
         residuals = analysis(frame, gap)
         assert np.abs(residuals).max() <= 1e-9
 
+    def test_unreachable_tolerance_raises_well_before_maxit(self):
+        # the attainable relative true residual at J = 10 is about 3e-13
+        frame, op, t = bpx_setup(10)
+        with pytest.raises(NoConvergence) as err:
+            galerkin_solve(frame, op, manufactured_sine_load(t), tol=1e-14)
+        assert err.value.iterations < 200
+        assert 1e-14 < err.value.residual < 1e-11  # the true residual reached
+
     def test_rejects_nonsymmetric_operator(self):
         t = synthetic_triple(np.eye(2))
         frame = reference_frame(t)
@@ -361,6 +375,12 @@ class TestConditioningStudy:
         singles = [r.iterations_single for r in rows]
         for a, b in zip(singles, singles[1:]):
             assert b / a == pytest.approx(2.0, rel=0.25)
+
+    def test_iteration_counts_are_pinned(self):
+        # criterion 09b reads these counts; no true-residual restart changes them
+        rows = conditioning_study(range(2, 8))
+        assert [r.iterations_multilevel for r in rows] == [4, 10, 14, 17, 18, 19]
+        assert [r.iterations_single for r in rows] == [7, 15, 31, 63, 127, 255]
 
     def test_ratio_equals_effective_condition_number_at_q1(self):
         hy = build_hierarchy(3)

@@ -1,10 +1,12 @@
 """Dense oracles for the sparse multilevel core (depths J <= 8).
 
-The prolongations, level embeddings, multilevel frame columns, the grid
+The level restrictions E_j^T (built from the closed form of the level
+hats) with their embedding views, the multilevel frame columns, the grid
 mass and stiffness matrices (``Tridiagonal``), the Poisson operator's
 stored form and banded solve, the frame-Galerkin action and the CG
 minimal-norm coefficients are sparse.  Each test rebuilds the quantity
-the dense way and compares.
+the dense way (level embeddings as the product chain of dense
+interpolation matrices) and compares.
 """
 
 import os
@@ -66,8 +68,6 @@ def dense_bpx_elements(hy, q):
 @pytest.mark.parametrize("j_max", DEPTHS)
 def test_csr_embeddings_equal_the_dense_chain_bit_for_bit(j_max):
     hy = build_hierarchy(j_max)
-    for j in range(j_max):
-        assert np.array_equal(hy.prolongations[j].toarray(), dense_prolongation(hy.dims[j]))
     for j in hy.levels:
         e = hy.embed_matrix(j)
         assert isinstance(e, np.ndarray)
@@ -82,6 +82,17 @@ def test_restriction_is_the_cached_csr_transpose_of_the_embedding(j_max):
         assert isinstance(r, sp.csr_array)
         assert r is hy.restriction(j)
         assert np.array_equal(r.toarray(), dense_embedding(hy, j).T)
+        assert r.has_sorted_indices and r.nnz == np.count_nonzero(r.toarray())
+
+
+@pytest.mark.parametrize("j_max", DEPTHS)
+def test_embedding_is_a_view_of_the_restriction(j_max):
+    hy = build_hierarchy(j_max)
+    for j in hy.levels:
+        e, r = hy.embedding(j), hy.restriction(j)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(e, name), getattr(r, name))
+    assert {key[0] for key in hy._cache} == {"restrict"}  # one stored form per level
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
