@@ -7,18 +7,22 @@ usage errors.  Identical config and seed produce byte-identical payloads.
 
 The configuration is declared once, in ``RunConfig``: each option stores
 into, and takes its default from, the field of its name, and the report's
-params are the fields, renamed where ``PARAM_KEYS`` says so.
+params are the fields, renamed where ``PARAM_KEYS`` says so.  ``_SUBCOMMANDS``
+lists the fields each subcommand reads: no other option parses, ``run`` refuses
+a config that sets another field, and an unwritable ``--output`` fails first.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -59,38 +63,58 @@ from .operator_repr import (
 )
 from .spaces import DualVector, PrimalVector, build_triple, primal_norm, stiffness_condition_number
 
-CSV_COMMANDS = ("rates", "bpx")
-
 # Fields whose report key differs from the field name.
-PARAM_KEYS = {"j_fine": "J_fine", "j_levels": "J", "fmt": "format"}
+PARAM_KEYS = {"j_levels": "J", "fmt": "format"}
+
+
+class UsageError(Exception):
+    pass
+
+
+def parse_level_range(text: str) -> tuple[int, ...]:
+    """Expand '2..7' into (2, ..., 7); a single integer stays a singleton."""
+    text = text.strip()
+    if ".." in text:
+        lo_s, hi_s = text.split("..", 1)
+        try:
+            lo, hi = int(lo_s), int(hi_s)
+        except ValueError:
+            raise UsageError(f"bad level range {text!r}") from None
+        if hi < lo:
+            raise UsageError(f"empty level range {text!r}")
+        return tuple(range(lo, hi + 1))
+    try:
+        return (int(text),)
+    except ValueError:
+        raise UsageError(f"bad level {text!r}") from None
+
+
+def _option(default, flag: str, help_text: str, **keywords):
+    """A RunConfig field set by ``flag``; ``keywords`` go to argparse's ``add_argument``."""
+    return field(default=default, metadata={"flag": flag, "argparse": {"help": help_text, **keywords}})
 
 
 @dataclass
 class RunConfig:
     command: str
-    j_fine: Optional[int] = None
-    j_levels: tuple[int, ...] = ()
-    q: float = 1.0
-    seed: int = 0
-    tol: float = 1e-8
+    j_levels: tuple[int, ...] = _option((), "--J", "hierarchy depth or range like 2..7", type=parse_level_range)
+    q: float = _option(1.0, "--q", "Sobolev exponent", type=float)
+    seed: int = _option(0, "--seed", "RNG seed for random-vector studies", type=int)
+    tol: float = _option(1e-8, "--tol", "solver tolerance", type=float)
     output: Optional[str] = None
-    fmt: str = "json"
-    fixture: Optional[str] = None
-    samples: int = 20
-    max_ratio: float = 60.0
-    max_spread: float = 20.0
+    fmt: str = _option("json", "--format", "report format", choices=("json", "csv"))
+    fixture: Optional[str] = _option(None, "--fixture", "named fixture (F1..F4)")
+    samples: int = _option(20, "--samples", "random sample count", type=int)
+    max_ratio: float = _option(60.0, "--max-ratio", "bound-ratio cap checked by bpx", type=float)
+    max_spread: float = _option(20.0, "--max-spread", "spread cap checked by norm-equiv", type=float)
 
     def params_dict(self) -> dict:
         """The report's params: every field but command and output, under its report key."""
-        return {
-            PARAM_KEYS.get(f.name, f.name): getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("command", "output")
-        }
-
-
-class UsageError(Exception):
-    pass
+        params = {"J_fine": None}  # the deleted --J-fine's key, until the benchmark reference drops it
+        for f in fields(self):
+            if f.name not in ("command", "output"):
+                params[PARAM_KEYS.get(f.name, f.name)] = getattr(self, f.name)
+        return params
 
 
 def _check(name: str, passed: bool, value, tolerance) -> dict:
@@ -281,7 +305,7 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
     ratios = np.asarray(ratios)
     g = DualVector(rng.standard_normal(n))
     r1 = norm_equivalence_ratio(hy, cfg.q, g)
-    r2 = norm_equivalence_ratio(hy, cfg.q, DualVector(3.0 * g.action))  # scaling by 2 is exact
+    r2 = norm_equivalence_ratio(hy, cfg.q, DualVector(3.0 * g.action))  # unlike 2, scaling by 3 rounds
     homogeneity = abs(r2 - r1) / r1
     spread = float(ratios.max() / ratios.min())
     results = {
@@ -342,8 +366,6 @@ def _cmd_bpx(cfg: RunConfig, rng):
 
 
 def _cmd_solve_poisson(cfg: RunConfig, rng):
-    if cfg.q != 1.0:
-        raise UsageError(f"solve-poisson solves the q = 1 Poisson problem, got --q {cfg.q}")
     j_max = _single_depth(cfg, 6)
     hy = build_hierarchy(j_max)
     triple = hy.fine_triple(1.0)
@@ -383,7 +405,7 @@ def _cmd_solve_poisson(cfg: RunConfig, rng):
     return results, checks, None
 
 
-def _identity_block(frame, op, rng):
+def _identity_block(frame, op):
     m = matrix_representation(frame, frame, op)
     sym = float(np.abs(m - m.T).max()) / max(float(np.abs(m).max()), 1e-300)
     ritz_min = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
@@ -424,7 +446,7 @@ def _cmd_identities(cfg: RunConfig, rng):
     results = {}
     checks = []
     for name, frame, op in instances:
-        block = _identity_block(frame, op, rng)
+        block = _identity_block(frame, op)
         results[name] = block
         for key, value in block.items():
             if key == "ritz_min":
@@ -436,18 +458,20 @@ def _cmd_identities(cfg: RunConfig, rng):
     return results, checks, None
 
 
-_HANDLERS = {
-    "bounds": _cmd_bounds,
-    "dual": _cmd_dual,
-    "gramian": _cmd_gramian,
-    "rates": _cmd_rates,
-    "norm-equiv": _cmd_norm_equiv,
-    "bpx": _cmd_bpx,
-    "solve-poisson": _cmd_solve_poisson,
-    "identities": _cmd_identities,
+# Each subcommand -> (handler, the RunConfig fields it reads): its options, besides --output.
+_SUBCOMMANDS = {
+    "bounds": (_cmd_bounds, ("fixture",)),
+    "dual": (_cmd_dual, ("fixture", "samples", "seed")),
+    "gramian": (_cmd_gramian, ("fixture", "j_levels", "q", "seed")),
+    "rates": (_cmd_rates, ("j_levels", "q", "fmt")),
+    "norm-equiv": (_cmd_norm_equiv, ("j_levels", "q", "samples", "seed", "max_spread")),
+    "bpx": (_cmd_bpx, ("j_levels", "q", "max_ratio", "fmt")),
+    "solve-poisson": (_cmd_solve_poisson, ("j_levels", "tol")),
+    "identities": (_cmd_identities, ("j_levels",)),
 }
 
-COMMANDS = tuple(_HANDLERS)
+COMMANDS = tuple(_SUBCOMMANDS)
+CSV_COMMANDS = tuple(name for name, (_, reads) in _SUBCOMMANDS.items() if "fmt" in reads)
 
 
 # -- report assembly -----------------------------------------------------------
@@ -567,13 +591,20 @@ def render_csv(rows: list[list]) -> str:
 
 def run(config: RunConfig) -> int:
     """Execute one configured study; returns the process exit code."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
+    if config.command not in _SUBCOMMANDS:
         raise UsageError(f"unknown command {config.command!r}")
-    if config.fmt == "csv" and config.command not in CSV_COMMANDS:
-        raise UsageError(
-            f"csv output is supported for {CSV_COMMANDS}, not {config.command!r}"
-        )
+    handler, reads = _SUBCOMMANDS[config.command]
+    ignored = [
+        f.metadata["flag"]
+        for f in fields(config)
+        if f.metadata and f.name not in reads and getattr(config, f.name) != f.default
+    ]
+    if ignored:
+        raise UsageError(f"{config.command} does not read {', '.join(ignored)}")
+    if config.output:  # checked, not opened: a file opened now would stay empty after a failed run
+        parent = os.path.dirname(config.output) or "."
+        if os.path.isdir(config.output) or not os.access(parent, os.W_OK | os.X_OK):
+            raise UsageError(f"cannot write --output {config.output}: not a file in a writable directory")
     rng = np.random.default_rng(config.seed)
     try:
         results, checks, rows = handler(config, rng)
@@ -612,63 +643,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_level_range(text: str) -> tuple[int, ...]:
-    """Expand '2..7' into (2, ..., 7); a single integer stays a singleton."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise UsageError(f"bad level range {text!r}") from None
-        if hi < lo:
-            raise UsageError(f"empty level range {text!r}")
-        return tuple(range(lo, hi + 1))
-    try:
-        return (int(text),)
-    except ValueError:
-        raise UsageError(f"bad level {text!r}") from None
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="framekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="RNG seed for random-vector studies")
-    common.add_argument("--tol", type=float, help="solver tolerance")
-    common.add_argument("--output", help="report path (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"), dest="fmt")
-    common.add_argument("--q", type=float, help="Sobolev exponent")
-    common.add_argument("--J", dest="j_levels", help="hierarchy depth or range like 2..7")
-    common.add_argument("--J-fine", dest="j_fine", type=int, help="fine grid level")
-    common.add_argument("--fixture", help="named fixture (F1..F4)")
-    common.add_argument("--samples", type=int, help="random sample count")
-    common.add_argument("--max-ratio", type=float, help="bound-ratio cap checked by bpx")
-    common.add_argument("--max-spread", type=float, help="spread cap checked by norm-equiv")
-    common.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.name != "command"})
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=f"run the {name} study")
+    for name, (_, reads) in _SUBCOMMANDS.items():
+        # an option not given stays out of the namespace, so its field keeps its default
+        command = sub.add_parser(name, help=f"run the {name} study", argument_default=argparse.SUPPRESS)
+        command.add_argument("--output", help="report path (default: stdout)")
+        for f in fields(RunConfig):
+            if f.name in reads:
+                command.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: building it costs far more than a parse
+
+
 def config_from_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     if ns.command is None:
         raise UsageError("a subcommand is required")
-    if ns.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {ns.seed}")
-    if ns.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {ns.samples}")
-    if not math.isfinite(ns.q):
-        raise UsageError(f"--q must be a finite number, got {ns.q}")
-    thresholds = (("--tol", ns.tol), ("--max-ratio", ns.max_ratio), ("--max-spread", ns.max_spread))
+    cfg = RunConfig(**vars(ns))
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {cfg.seed}")
+    if cfg.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {cfg.samples}")
+    if not math.isfinite(cfg.q):
+        raise UsageError(f"--q must be a finite number, got {cfg.q}")
+    thresholds = (("--tol", cfg.tol), ("--max-ratio", cfg.max_ratio), ("--max-spread", cfg.max_spread))
     for flag, value in thresholds:
         if not (math.isfinite(value) and value > 0.0):
             raise UsageError(f"{flag} must be a finite positive number, got {value}")
-    if ns.tol < sys.float_info.epsilon:  # no float64 residual can reach it
-        raise UsageError(f"--tol must be at least {sys.float_info.epsilon:.3g}, got {ns.tol}")
-    levels = parse_level_range(ns.j_levels) if ns.j_levels else ()
-    return RunConfig(**{**vars(ns), "j_levels": levels})
+    if cfg.tol < sys.float_info.epsilon:  # no float64 residual can reach it
+        raise UsageError(f"--tol must be at least {sys.float_info.epsilon:.3g}, got {cfg.tol}")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -677,7 +685,7 @@ def main(argv=None) -> int:
         return run(config)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
-        sys.stderr.write(build_parser().format_usage())
+        sys.stderr.write(_parser().format_usage())
         return 1
 
 

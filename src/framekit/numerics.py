@@ -275,8 +275,9 @@ def cg_solve(
     Returns (x, iterations) with ||apply_op(x) - b|| <= tol * ||b||.  When
     the recursive residual meets tol but the true one does not, CG restarts
     from the true residual.  If the next such check finds it no lower, tol
-    is below the attainable accuracy: NoConvergence reports the relative
-    true residual reached.  NoConvergence is also raised after maxit.
+    is below the attainable accuracy.  NoConvergence is raised then, on
+    breakdown and after maxit; once CG has restarted, it reports the
+    smallest relative true residual reached, as the recursive one may drift.
     """
     rhs = np.asarray(b, dtype=float)
     nb = float(np.linalg.norm(rhs))
@@ -286,7 +287,8 @@ def cg_solve(
     r = rhs.copy()
     p = r.copy()
     rs = float(r @ r)
-    restart_norm = nb  # true residual norm at the last (re)start
+    restart_norm = nb  # true residual norm at the last (re)start, the smallest one seen
+    restarted = False
     for k in range(1, maxit + 1):
         ap = apply_op(p)
         pap = float(p @ ap)
@@ -294,7 +296,7 @@ def cg_solve(
             # breakdown: direction fell into the numerical kernel
             if np.sqrt(rs) <= tol * nb:
                 return x, k - 1
-            raise NoConvergence(k - 1, float(np.sqrt(rs) / nb))
+            raise NoConvergence(k - 1, (restart_norm if restarted else float(np.sqrt(rs))) / nb)
         alpha = rs / pap
         x += alpha * p
         r -= alpha * ap
@@ -305,16 +307,16 @@ def cg_solve(
             if true_norm <= tol * nb:
                 return x, k
             if true_norm >= restart_norm:
-                raise NoConvergence(k, true_norm / nb)
+                raise NoConvergence(k, (restart_norm if restarted else true_norm) / nb)
             # recursion drifted from the true residual: restart from it
-            r, restart_norm = true_r, true_norm
+            r, restart_norm, restarted = true_r, true_norm, True
             rs = float(r @ r)
             p = r.copy()
             continue
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-    raise NoConvergence(maxit, float(np.sqrt(rs) / nb))
+    raise NoConvergence(maxit, (restart_norm if restarted else float(np.sqrt(rs))) / nb)
 
 
 def min_norm_solve(a, b) -> np.ndarray:
