@@ -602,9 +602,10 @@ def run(config: RunConfig) -> int:
     if ignored:
         raise UsageError(f"{config.command} does not read {', '.join(ignored)}")
     if config.output:  # checked, not opened: a file opened now would stay empty after a failed run
-        parent = os.path.dirname(config.output) or "."
-        if os.path.isdir(config.output) or not os.access(parent, os.W_OK | os.X_OK):
-            raise UsageError(f"cannot write --output {config.output}: not a file in a writable directory")
+        # an existing file, such as /dev/null, needs no writable directory; a new file does
+        target = config.output if os.path.exists(config.output) else os.path.dirname(config.output) or "."
+        if os.path.isdir(config.output) or not os.access(target, os.W_OK):
+            raise UsageError(f"cannot write --output {config.output}: not a writable file path")
     rng = np.random.default_rng(config.seed)
     try:
         results, checks, rows = handler(config, rng)

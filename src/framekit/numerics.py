@@ -287,8 +287,7 @@ def cg_solve(
     r = rhs.copy()
     p = r.copy()
     rs = float(r @ r)
-    restart_norm = nb  # true residual norm at the last (re)start, the smallest one seen
-    restarted = False
+    restart_norm = nb  # true residual norm at the last (re)start: the smallest seen, below nb once restarted
     for k in range(1, maxit + 1):
         ap = apply_op(p)
         pap = float(p @ ap)
@@ -296,7 +295,7 @@ def cg_solve(
             # breakdown: direction fell into the numerical kernel
             if np.sqrt(rs) <= tol * nb:
                 return x, k - 1
-            raise NoConvergence(k - 1, (restart_norm if restarted else float(np.sqrt(rs))) / nb)
+            raise NoConvergence(k - 1, (restart_norm if restart_norm < nb else float(np.sqrt(rs))) / nb)
         alpha = rs / pap
         x += alpha * p
         r -= alpha * ap
@@ -307,16 +306,16 @@ def cg_solve(
             if true_norm <= tol * nb:
                 return x, k
             if true_norm >= restart_norm:
-                raise NoConvergence(k, (restart_norm if restarted else true_norm) / nb)
+                raise NoConvergence(k, (restart_norm if restart_norm < nb else true_norm) / nb)
             # recursion drifted from the true residual: restart from it
-            r, restart_norm, restarted = true_r, true_norm, True
+            r, restart_norm = true_r, true_norm
             rs = float(r @ r)
             p = r.copy()
             continue
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-    raise NoConvergence(maxit, (restart_norm if restarted else float(np.sqrt(rs))) / nb)
+    raise NoConvergence(maxit, (restart_norm if restart_norm < nb else float(np.sqrt(rs))) / nb)
 
 
 def min_norm_solve(a, b) -> np.ndarray:
