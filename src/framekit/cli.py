@@ -7,9 +7,11 @@ usage errors.  Identical config and seed produce byte-identical payloads.
 
 The configuration is declared once, in ``RunConfig``: each option stores
 into, and takes its default from, the field of its name, and the report's
-params are the fields, renamed where ``PARAM_KEYS`` says so.  ``_SUBCOMMANDS``
-lists the fields each subcommand reads: no other option parses, ``run`` refuses
-a config that sets another field, and an unwritable ``--output`` fails first.
+params are the fields, renamed where ``PARAM_KEYS`` says so.  Each field also
+declares the values it accepts, and ``run`` checks every field against them,
+whether the config came from argv or was built in code.  ``_SUBCOMMANDS`` lists
+the fields each subcommand reads: no other option parses, ``run`` refuses a
+config that sets another field, and an unwritable ``--output`` fails first.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -73,40 +76,50 @@ class UsageError(Exception):
 
 def parse_level_range(text: str) -> tuple[int, ...]:
     """Expand '2..7' into (2, ..., 7); a single integer stays a singleton."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise UsageError(f"bad level range {text!r}") from None
-        if hi < lo:
-            raise UsageError(f"empty level range {text!r}")
-        return tuple(range(lo, hi + 1))
-    try:
-        return (int(text),)
-    except ValueError:
-        raise UsageError(f"bad level {text!r}") from None
+    lo_s, dots, hi_s = text.partition("..")
+    lo, hi = int(lo_s), int(hi_s if dots else lo_s)  # argparse reports a ValueError as a usage error
+    if hi < lo:
+        raise UsageError(f"empty level range {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
-def _option(default, flag: str, help_text: str, **keywords):
-    """A RunConfig field set by ``flag``; ``keywords`` go to argparse's ``add_argument``."""
-    return field(default=default, metadata={"flag": flag, "argparse": {"help": help_text, **keywords}})
+def _option(default, flag: str, help_text: str, valid, **keywords):
+    """A RunConfig field set by ``flag``; ``valid`` is (test, wording); ``keywords`` go to argparse."""
+    return field(default=default, metadata=dict(flag=flag, valid=valid, argparse={"help": help_text, **keywords}))
+
+
+def _number(kind, wording: str, test=lambda v: True):
+    """The ``valid`` pair of the finite numbers of ``kind`` that pass ``test``."""
+    return (lambda v: isinstance(v, kind) and abs(v) < math.inf and test(v)), wording
+
+
+def _at_least(low: int):
+    return _number(Integral, f"an integer of at least {low}", lambda v: v >= low)
+
+
+_EPS = sys.float_info.epsilon  # no float64 residual can reach a smaller tolerance
+_TOLERANCE = _number(Real, f"a finite number of at least {_EPS:.3g}", lambda v: v >= _EPS)
+_POSITIVE = _number(Real, "a finite positive number", lambda v: v > 0.0)
+_LEVELS = (lambda v: isinstance(v, tuple) and all(isinstance(j, Integral) for j in v)), "a tuple of integers"
+_NAME = (lambda v: v is None or isinstance(v, str)), "a fixture name"
+FORMATS = ("json", "csv")
 
 
 @dataclass
 class RunConfig:
     command: str
-    j_levels: tuple[int, ...] = _option((), "--J", "hierarchy depth or range like 2..7", type=parse_level_range)
-    q: float = _option(1.0, "--q", "Sobolev exponent", type=float)
-    seed: int = _option(0, "--seed", "RNG seed for random-vector studies", type=int)
-    tol: float = _option(1e-8, "--tol", "solver tolerance", type=float)
+    j_levels: tuple[int, ...] = _option(
+        (), "--J", "hierarchy depth or range like 2..7", _LEVELS, type=parse_level_range
+    )
+    q: float = _option(1.0, "--q", "Sobolev exponent", _number(Real, "a finite number"), type=float)
+    seed: int = _option(0, "--seed", "RNG seed for random-vector studies", _at_least(0), type=int)
+    tol: float = _option(1e-8, "--tol", "solver tolerance", _TOLERANCE, type=float)
     output: Optional[str] = None
-    fmt: str = _option("json", "--format", "report format", choices=("json", "csv"))
-    fixture: Optional[str] = _option(None, "--fixture", "named fixture (F1..F4)")
-    samples: int = _option(20, "--samples", "random sample count", type=int)
-    max_ratio: float = _option(60.0, "--max-ratio", "bound-ratio cap checked by bpx", type=float)
-    max_spread: float = _option(20.0, "--max-spread", "spread cap checked by norm-equiv", type=float)
+    fmt: str = _option("json", "--format", "report format", (FORMATS.__contains__, "json or csv"), choices=FORMATS)
+    fixture: Optional[str] = _option(None, "--fixture", "named fixture (F1..F4)", _NAME)
+    samples: int = _option(20, "--samples", "random sample count", _at_least(1), type=int)
+    max_ratio: float = _option(60.0, "--max-ratio", "bound-ratio cap checked by bpx", _POSITIVE, type=float)
+    max_spread: float = _option(20.0, "--max-spread", "spread cap checked by norm-equiv", _POSITIVE, type=float)
 
     def params_dict(self) -> dict:
         """The report's params: every field but command and output, under its report key."""
@@ -292,8 +305,6 @@ def _cmd_rates(cfg: RunConfig, rng):
 
 def _cmd_norm_equiv(cfg: RunConfig, rng):
     j_max = _single_depth(cfg, 6)
-    if not 0.0 < cfg.q < 1.5:
-        raise DomainError(f"norm-equiv needs 0 < q < 3/2, got {cfg.q}")
     if cfg.samples < 2:  # the spread of one sample is 1 whatever the norms do
         raise UsageError(f"norm-equiv needs --samples of at least 2, got {cfg.samples}")
     hy = build_hierarchy(j_max)
@@ -594,11 +605,13 @@ def run(config: RunConfig) -> int:
     if config.command not in _SUBCOMMANDS:
         raise UsageError(f"unknown command {config.command!r}")
     handler, reads = _SUBCOMMANDS[config.command]
-    ignored = [
-        f.metadata["flag"]
-        for f in fields(config)
-        if f.metadata and f.name not in reads and getattr(config, f.name) != f.default
-    ]
+    ignored = []
+    for f in (f for f in fields(config) if f.metadata):  # every option, before any work
+        (test, wording), value = f.metadata["valid"], getattr(config, f.name)
+        if not test(value):
+            raise UsageError(f"{f.metadata['flag']} must be {wording}, got {value!r}")
+        if f.name not in reads and value != f.default:
+            ignored.append(f.metadata["flag"])
     if ignored:
         raise UsageError(f"{config.command} does not read {', '.join(ignored)}")
     if config.output:  # checked, not opened: a file opened now would stay empty after a failed run
@@ -646,7 +659,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="framekit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
+    parser.commands = sub.choices  # name -> subcommand parser
     for name, (_, reads) in _SUBCOMMANDS.items():
         # an option not given stays out of the namespace, so its field keeps its default
         command = sub.add_parser(name, help=f"run the {name} study", argument_default=argparse.SUPPRESS)
@@ -661,32 +675,17 @@ _parser = functools.cache(build_parser)  # one per process: building it costs fa
 
 
 def config_from_args(argv) -> RunConfig:
-    ns = _parser().parse_args(argv)
-    if ns.command is None:
-        raise UsageError("a subcommand is required")
-    cfg = RunConfig(**vars(ns))
-    if cfg.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {cfg.seed}")
-    if cfg.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {cfg.samples}")
-    if not math.isfinite(cfg.q):
-        raise UsageError(f"--q must be a finite number, got {cfg.q}")
-    thresholds = (("--tol", cfg.tol), ("--max-ratio", cfg.max_ratio), ("--max-spread", cfg.max_spread))
-    for flag, value in thresholds:
-        if not (math.isfinite(value) and value > 0.0):
-            raise UsageError(f"{flag} must be a finite positive number, got {value}")
-    if cfg.tol < sys.float_info.epsilon:  # no float64 residual can reach it
-        raise UsageError(f"--tol must be at least {sys.float_info.epsilon:.3g}, got {cfg.tol}")
-    return cfg
+    return RunConfig(**vars(_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        config = config_from_args(sys.argv[1:] if argv is None else argv)
-        return run(config)
+        return run(config_from_args(argv))
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
-        sys.stderr.write(_parser().format_usage())
+        # the failing subcommand's usage lists the options it takes; the top-level usage does not
+        sys.stderr.write(_parser().commands.get(argv[0] if argv else None, _parser()).format_usage())
         return 1
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import fields
@@ -41,6 +42,27 @@ def record_handler_calls(monkeypatch, command):
     _, reads = cli._SUBCOMMANDS[command]
     monkeypatch.setitem(cli._SUBCOMMANDS, command, (lambda cfg, rng: calls.append(cfg), reads))
     return calls
+
+
+def assert_refused(tmp_path, monkeypatch, argv, **config):
+    """Bad input is a usage error before any work through both entry points.
+
+    ``main(argv)`` exits 1 and ``run(RunConfig(**config))`` raises ``UsageError``, with no handler
+    call and no output file.  ``argv`` is None for values that argv cannot express, such as a wrong type.
+    """
+    out = tmp_path / "report.json"
+    calls = record_handler_calls(monkeypatch, config["command"])
+    if argv is not None:
+        assert main(argv + ["--output", str(out)]) == 1
+    with pytest.raises(UsageError):
+        run(RunConfig(**config, output=str(out)))
+    assert calls == [] and not out.exists()
+
+
+def bad_input(argv, **config):
+    """A parametrize case for ``assert_refused``, named by its argv, else by its RunConfig fields."""
+    name = " ".join(argv) if argv else "RunConfig(" + ", ".join(f"{k}={v!r}" for k, v in config.items()) + ")"
+    return pytest.param(argv, config, id=name)
 
 
 # The options each subcommand reads, besides --output: 31 (command, option) pairs in all.
@@ -96,8 +118,14 @@ class TestParsing:
         assert main([]) == 1
 
     def test_unknown_fixture_is_usage_error(self, capsys):
-        code = main(["bounds", "--fixture", "F9"])
-        assert code == 1
+        # the usage printed is the failing subcommand's, listing the options it takes, whether the
+        # handler, the subparser or (for an option bounds does not take) the top-level parser refused
+        for argv in (["bounds", "--fixture", "F9"], ["bounds", "--samples", "x"], ["bounds", "--q", "0.3"]):
+            assert main(argv) == 1
+            usage = capsys.readouterr().err.splitlines()[1]
+            assert usage.startswith("usage: framekit bounds ") and "--fixture" in usage
+        assert main(["frobnicate"]) == 1
+        assert capsys.readouterr().err.splitlines()[1].startswith("usage: framekit [-h] command")
 
     def test_csv_only_for_tabular_commands(self):
         assert main(["bounds", "--fixture", "F1", "--format", "csv"]) == 1
@@ -105,11 +133,9 @@ class TestParsing:
     def test_bad_domain_parameter_is_usage_error(self):
         assert main(["norm-equiv", "--q", "0", "--J", "2"]) == 1
 
-    def test_zero_samples_is_usage_error(self, tmp_path):
-        for command in ("norm-equiv", "dual"):
-            out = tmp_path / f"{command}.json"
-            assert main([command, "--samples", "0", "--output", str(out)]) == 1
-            assert not out.exists()
+    def test_zero_samples_is_usage_error(self, tmp_path, monkeypatch):
+        for command in ("norm-equiv", "dual"):  # dual would report frames_tested 0 and pass
+            assert_refused(tmp_path, monkeypatch, [command, "--samples", "0"], command=command, samples=0)
 
     @pytest.mark.parametrize(
         "argv", [["bpx", "--q", "0", "--J", "3"], ["norm-equiv", "--samples", "1"]]
@@ -132,10 +158,11 @@ class TestParsing:
         assert main(["rates", "--J", j, "--output", str(out)]) == 1
         assert not out.exists()
 
-    def test_negative_seed_is_usage_error(self, tmp_path):
-        out = tmp_path / "report.json"
-        assert main(["dual", "--samples", "3", "--seed", "-1", "--output", str(out)]) == 1
-        assert not out.exists()
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch):
+        argv = ["dual", "--samples", "3", "--seed", "-1"]
+        assert_refused(tmp_path, monkeypatch, argv, command="dual", samples=3, seed=-1)
+        assert_refused(tmp_path, monkeypatch, ["norm-equiv", "--seed", "-1"], command="norm-equiv", seed=-1)
+        assert_refused(tmp_path, monkeypatch, None, command="dual", seed=1.5)
 
     @pytest.mark.parametrize(
         "command", ["rates", "norm-equiv", "solve-poisson", "identities", "gramian"]
@@ -169,10 +196,9 @@ class TestParsing:
         assert built == [] and not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e-300", "2e-16"])
-    def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
-        out = tmp_path / "report.json"
-        assert main(["solve-poisson", "--J", "2", "--tol", tol, "--output", str(out)]) == 1
-        assert not out.exists()
+    def test_bad_tolerance_is_usage_error(self, tmp_path, monkeypatch, tol):
+        argv = ["solve-poisson", "--J", "2", "--tol", tol]
+        assert_refused(tmp_path, monkeypatch, argv, command="solve-poisson", j_levels=(2,), tol=float(tol))
 
     def test_unreachable_tolerance_exits_2_with_the_true_residual(self, tmp_path):
         # at 1e-15 the recursive residual grows to about 20 after the restarts
@@ -207,22 +233,24 @@ class TestParsing:
             assert json.loads((tmp_path / "r.json").read_text())["command"] == "bounds"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, config",
         [
-            ["gramian", "--fixture", "F1", "--q", "nan"],
-            ["norm-equiv", "--q", "inf"],
-            ["rates", "--q", "-inf"],
-            ["norm-equiv", "--max-spread", "inf"],
-            ["norm-equiv", "--max-spread", "0"],
-            ["bpx", "--max-ratio", "nan"],
-            ["bpx", "--max-ratio", "-1"],
+            bad_input(["gramian", "--fixture", "F1", "--q", "nan"], command="gramian", fixture="F1", q=math.nan),
+            bad_input(["norm-equiv", "--q", "inf"], command="norm-equiv", q=math.inf),
+            bad_input(["rates", "--q", "-inf"], command="rates", q=-math.inf),
+            bad_input(["norm-equiv", "--max-spread", "inf"], command="norm-equiv", max_spread=math.inf),
+            bad_input(["norm-equiv", "--max-spread", "0"], command="norm-equiv", max_spread=0.0),
+            bad_input(["bpx", "--max-ratio", "nan"], command="bpx", max_ratio=math.nan),
+            bad_input(["bpx", "--max-ratio", "-1"], command="bpx", max_ratio=-1.0),
+            bad_input(["rates", "--format", "xml"], command="rates", fmt="xml"),
+            # values of the wrong type, which argparse cannot produce
+            bad_input(None, command="gramian", q="0.5"),
+            bad_input(None, command="rates", j_levels=5),
+            bad_input(None, command="bounds", fixture=3),
         ],
-        ids=" ".join,
     )
-    def test_bad_threshold_is_usage_error(self, tmp_path, argv):
-        out = tmp_path / "report.json"
-        assert main(argv + ["--output", str(out)]) == 1
-        assert not out.exists()
+    def test_bad_threshold_is_usage_error(self, tmp_path, monkeypatch, argv, config):
+        assert_refused(tmp_path, monkeypatch, argv, **config)
 
 
 class TestDeterminism:
