@@ -48,7 +48,7 @@ from .multiscale import (
     bpx_frame,
     build_hierarchy,
     jackson_rate,
-    norm_equivalence_ratio,
+    norm_equivalence_ratios,
 )
 from .operator_repr import (
     composition_check,
@@ -102,6 +102,7 @@ _TOLERANCE = _number(Real, f"a finite number of at least {_EPS:.3g}", lambda v: 
 _POSITIVE = _number(Real, "a finite positive number", lambda v: v > 0.0)
 _LEVELS = (lambda v: isinstance(v, tuple) and all(isinstance(j, Integral) for j in v)), "a tuple of integers"
 _NAME = (lambda v: v is None or isinstance(v, str)), "a fixture name"
+_PATH = (lambda v: v is None or isinstance(v, (str, os.PathLike))), "a file path"
 FORMATS = ("json", "csv")
 
 
@@ -114,7 +115,7 @@ class RunConfig:
     q: float = _option(1.0, "--q", "Sobolev exponent", _number(Real, "a finite number"), type=float)
     seed: int = _option(0, "--seed", "RNG seed for random-vector studies", _at_least(0), type=int)
     tol: float = _option(1e-8, "--tol", "solver tolerance", _TOLERANCE, type=float)
-    output: Optional[str] = None
+    output: str | os.PathLike | None = _option(None, "--output", "report path (default: stdout)", _PATH)
     fmt: str = _option("json", "--format", "report format", (FORMATS.__contains__, "json or csv"), choices=FORMATS)
     fixture: Optional[str] = _option(None, "--fixture", "named fixture (F1..F4)", _NAME)
     samples: int = _option(20, "--samples", "random sample count", _at_least(1), type=int)
@@ -308,15 +309,9 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
     if cfg.samples < 2:  # the spread of one sample is 1 whatever the norms do
         raise UsageError(f"norm-equiv needs --samples of at least 2, got {cfg.samples}")
     hy = build_hierarchy(j_max)
-    n = hy.fine_triple().n
-    ratios = []
-    for _ in range(cfg.samples):
-        g = DualVector(rng.standard_normal(n))
-        ratios.append(norm_equivalence_ratio(hy, cfg.q, g))
-    ratios = np.asarray(ratios)
-    g = DualVector(rng.standard_normal(n))
-    r1 = norm_equivalence_ratio(hy, cfg.q, g)
-    r2 = norm_equivalence_ratio(hy, cfg.q, DualVector(3.0 * g.action))  # unlike 2, scaling by 3 rounds
+    draws = rng.standard_normal((cfg.samples + 1, hy.dims[j_max]))  # the samples, then g
+    block = np.vstack((draws, 3.0 * draws[-1])).T  # one column per functional: the samples, g and 3g
+    ratios, (r1, r2) = np.split(norm_equivalence_ratios(hy, cfg.q, block), [-2])  # unlike 2, scaling by 3 rounds
     homogeneity = abs(r2 - r1) / r1
     spread = float(ratios.max() / ratios.min())
     results = {
@@ -469,7 +464,7 @@ def _cmd_identities(cfg: RunConfig, rng):
     return results, checks, None
 
 
-# Each subcommand -> (handler, the RunConfig fields it reads): its options, besides --output.
+# Each subcommand -> (handler, the RunConfig fields it reads): its options, besides output, which all read.
 _SUBCOMMANDS = {
     "bounds": (_cmd_bounds, ("fixture",)),
     "dual": (_cmd_dual, ("fixture", "samples", "seed")),
@@ -610,7 +605,7 @@ def run(config: RunConfig) -> int:
         (test, wording), value = f.metadata["valid"], getattr(config, f.name)
         if not test(value):
             raise UsageError(f"{f.metadata['flag']} must be {wording}, got {value!r}")
-        if f.name not in reads and value != f.default:
+        if f.name not in reads + ("output",) and value != f.default:
             ignored.append(f.metadata["flag"])
     if ignored:
         raise UsageError(f"{config.command} does not read {', '.join(ignored)}")
@@ -664,9 +659,8 @@ def build_parser() -> _Parser:
     for name, (_, reads) in _SUBCOMMANDS.items():
         # an option not given stays out of the namespace, so its field keeps its default
         command = sub.add_parser(name, help=f"run the {name} study", argument_default=argparse.SUPPRESS)
-        command.add_argument("--output", help="report path (default: stdout)")
         for f in fields(RunConfig):
-            if f.name in reads:
+            if f.name in reads + ("output",):
                 command.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
     return parser
 

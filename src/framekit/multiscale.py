@@ -17,11 +17,11 @@ nonzeros per row.  The dense views (``embed_matrix``,
 matrices bit for bit.  The grid mass matrices are ``Tridiagonal``
 (spaces): L^2 projections and Jackson errors multiply by them in O(n),
 restrict with E_j^T and solve the level mass systems banded.  The
-multilevel norm of a functional g reads only its restrictions E_j^T g and
-their level L^2 dual norms; it never forms a primal vector from g.  A
-hierarchy keeps one triple per grid and exponent.  The Bernstein rates
-read the closed-form level spectra (``spaces.grid_spectrum``) and build
-no level triple.  The multilevel frame's bounds (``bpx_bounds``) split,
+multilevel norm of functionals g reads their restrictions E_j^T g and, as
+the (H^q)' norm does, their sine-basis dual norms: no primal vector or
+triple is formed.  A hierarchy keeps one triple per grid and exponent.
+The Bernstein rates read the closed-form level spectra (``grid_spectrum``)
+and build no level triple.  The multilevel frame's bounds (``bpx_bounds``) split,
 in the sine basis, into one symmetric eigenproblem per 2-adic class of
 mode indices, assembled from closed-form entries (Fejer kernels of the
 level hats): no frame column, sine table or n x n grid matrix is formed.
@@ -47,7 +47,7 @@ from .spaces import (
     PrimalVector,
     _grid_pencil,
     build_triple,
-    dual_norm,
+    grid_dual_norms_sq,
     grid_spectrum,
 )
 
@@ -228,29 +228,34 @@ def bernstein_rate(hy: MultiscaleHierarchy, q: float) -> RateReport:
     return _fit_report(hy.levels, values, hy.j_max)
 
 
-def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> float:
-    """Multilevel-to-dual-norm ratio for a functional g.
+def norm_equivalence_ratios(hy: MultiscaleHierarchy, q: float, actions) -> np.ndarray:
+    """Multilevel-to-dual-norm ratio of each column of an n x s block of functional actions.
 
     Numerator: sum_j 4^(-jq) ||(P_j - P_{j-1}) M^-1 g||_{L^2}^2 with
     P_{-1} = 0, computed from the restrictions r_j = E_j^T g alone.  With
     a_j = r_j^T M_j^-1 r_j = ||P_j M^-1 g||^2, the L^2-orthogonality of the
     increments turns the sum into sum_j (4^(-jq) - 4^(-(j+1)q)) a_j, the
     last weight being 4^(-Jq); every weight is positive, so nothing
-    cancels.  Denominator: the squared (H^q)' norm of g.  The ratio stays
-    inside a fixed interval over all g; degree-2 homogeneity makes it
-    invariant under scaling g.
+    cancels.  Denominator: the squared (H^q)' norm of g.  Both are sine-basis
+    dual norms (``grid_dual_norms_sq``): no triple is built, nothing is
+    solved.  The ratio stays inside a fixed interval over all g; degree-2
+    homogeneity makes it invariant under scaling g.
     """
     if not 0.0 < q < GAMMA:
         raise DomainError(f"q must lie in (0, {GAMMA}), got {q}")
-    n = hy.dims[hy.j_max]
-    if len(g) != n:
-        raise DimensionMismatch(f"vector has size {len(g)}, fine grid has {n}")
+    g = np.asarray(actions, dtype=float)
+    if g.ndim != 2 or g.shape[0] != hy.dims[hy.j_max]:
+        raise DimensionMismatch(f"actions have shape {g.shape}, fine grid has {hy.dims[hy.j_max]} nodes")
     numerator = 0.0
     for j in hy.levels:
-        r = hy.restriction(j) @ g.action
         weight = 4.0 ** (-j * q) - (4.0 ** (-(j + 1) * q) if j < hy.j_max else 0.0)
-        numerator += weight * float(r @ hy.level_triple(j).mass_solve(r))
-    return numerator / dual_norm(hy.fine_triple(q), g) ** 2
+        numerator += weight * grid_dual_norms_sq(hy.restriction(j) @ g, 0.0)
+    return numerator / grid_dual_norms_sq(g, q)
+
+
+def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> float:
+    """``norm_equivalence_ratios`` of the single functional g."""
+    return float(norm_equivalence_ratios(hy, q, g.action[:, None])[0])
 
 
 def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:

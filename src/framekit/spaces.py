@@ -13,9 +13,9 @@ common eigenbasis of the (stiffness, mass) pencil.  They are kept as
 ``Tridiagonal`` objects (O(n) products and banded solves, a dense view
 only on request), and for q = 0 or 1 the H^q Gram matrix is one of them,
 so such a triple holds no n x n array.  For fractional q the Gram matrix
-is dense, filled from one DCT-I of its eigenvalues.  The pencil spectrum
-(``grid_spectrum``) and the stiffness condition number are formulas in n
-and q: neither builds a triple or runs an eigensolve.
+is dense, filled from one DCT-I of its eigenvalues.  The pencil spectrum,
+the stiffness condition number and the (H^q)' norms of functionals (one
+DST-I) are formulas in n and q: none builds a triple or runs a solve.
 ``spectral_inner_matrix`` is the generic dense path for any pencil and
 the oracle the closed forms are tested against.
 """
@@ -167,6 +167,21 @@ def _grid_pencil(n: int) -> tuple[np.ndarray, np.ndarray]:
     h = 1.0 / (n + 1)
     theta = np.pi * h * np.arange(1, n + 1)
     return (4.0 / h) * np.sin(0.5 * theta) ** 2, (h / 3.0) * (2.0 + np.cos(theta))
+
+
+def grid_dual_norms_sq(actions, q: float) -> np.ndarray:
+    """Squared (H^q)' norms a^T inner^-1 a of the columns of an n x s block, on n interior nodes.
+
+    sum_k (Q^T a)_k^2 / d_k with d = mu^(1-q) kappa^q: the real FFT of the odd extension of a
+    has imaginary part -sqrt(2(n+1)) Q^T a (one DST-I along axis 0).  No triple is built.
+    """
+    a = np.asarray(actions, dtype=float)
+    n = a.shape[0]
+    ext = np.zeros((2 * (n + 1),) + a.shape[1:])
+    ext[1 : n + 1], ext[n + 2 :] = a, -a[::-1]
+    kappa, mu = _grid_pencil(n)
+    d = (2 * (n + 1)) * mu ** (1.0 - q) * kappa**q
+    return np.einsum("k...,k->...", np.fft.rfft(ext, axis=0).imag[1 : n + 1] ** 2, 1.0 / d)
 
 
 def grid_spectrum(n: int, q: float) -> PencilSpectrum:

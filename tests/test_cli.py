@@ -220,6 +220,15 @@ class TestParsing:
         assert "Traceback" not in err
         assert calls == []
 
+    @pytest.mark.parametrize("output", [2, ["r.json"]])
+    def test_output_that_is_not_a_path_is_usage_error(self, tmp_path, monkeypatch, output):
+        calls = record_handler_calls(monkeypatch, "bounds")
+        with pytest.raises(UsageError, match="--output must be a file path"):
+            run(RunConfig(command="bounds", output=output))
+        assert calls == []
+        monkeypatch.undo()
+        assert run(RunConfig(command="bounds", output=tmp_path / "r.json")) == 0  # a PathLike is a path
+
     @pytest.mark.parametrize("existing", ["devnull", "file"])
     def test_existing_writable_output_needs_no_writable_directory(self, tmp_path, monkeypatch, existing):
         path = os.devnull if existing == "devnull" else str(tmp_path / "r.json")

@@ -114,14 +114,16 @@ def test_sine_congruence_equals_dense_product(d):
 
 
 def test_building_a_fractional_triple_does_not_load_scipy_fft():
-    # The CLI's import cost is its start-up cost: neither a fractional triple
-    # nor a banded Poisson solve may pull in another scipy subpackage.
+    # The CLI's import cost is its start-up cost: neither a fractional triple,
+    # a banded Poisson solve nor the sine-basis dual norms of norm-equiv may
+    # pull in another scipy subpackage.
     code = (
         "import os, sys\n"
         "import framekit.cli\n"
         "from framekit.spaces import build_triple\n"
         "build_triple(5, 0.5)\n"
         "assert framekit.cli.main(['solve-poisson', '--J', '4', '--output', os.devnull]) == 0\n"
+        "assert framekit.cli.main(['norm-equiv', '--q', '0.5', '--J', '5', '--output', os.devnull]) == 0\n"
         "unwanted = ('scipy.fft', 'scipy.sparse.linalg', 'scipy.io')\n"
         "loaded = [m for m in unwanted if m in sys.modules]\n"
         "assert not loaded, f'{loaded} imported'\n"

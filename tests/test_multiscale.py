@@ -1,9 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import framekit.cli as cli
 import framekit.frames as frames
 import framekit.multiscale as multiscale
+import framekit.spaces as spaces
 from framekit.errors import DimensionMismatch, DomainError
 from framekit.frames import frame_bounds, riesz_check
 from framekit.multiscale import (
@@ -18,6 +23,31 @@ from framekit.multiscale import (
     sample_on_fine_grid,
 )
 from framekit.spaces import DualVector, PrimalVector, _grid_pencil, build_triple, dual_norm
+
+
+def dense_projector_ratio(hy, q):
+    """Oracle for one functional's norm-equivalence ratio, from dense projectors and solves.
+
+    sum_j 4^(-jq) ||(P_j - P_{j-1}) M^-1 g||_M^2 / g^T H_q^-1 g, with the
+    M-orthogonal projectors P_j = E_j (E_j^T M E_j)^-1 E_j^T M formed densely.
+    """
+    t = build_triple(hy.level_fine_index(hy.j_max), q)
+    m = t.mass.a
+    projectors = []
+    for j in hy.levels:
+        e = hy.embed_matrix(j)
+        projectors.append(e @ np.linalg.solve(e.T @ m @ e, e.T @ m))
+
+    def ratio(g):
+        f = np.linalg.solve(m, g)
+        numerator, prev = 0.0, np.zeros(t.n)
+        for j, p in enumerate(projectors):
+            d = p @ f - prev
+            numerator += 4.0 ** (-j * q) * float(d @ m @ d)
+            prev = p @ f
+        return numerator / float(g @ np.linalg.solve(t.inner.a, g))
+
+    return ratio
 
 
 def hat_value(x, center, width):
@@ -308,26 +338,56 @@ class TestNormEquivalence:
     @pytest.mark.parametrize("q", (0.5, 1.0))
     @pytest.mark.parametrize("j_max", (3, 5))
     def test_matches_dense_projector_oracle(self, j_max, q):
-        # sum_j 4^(-jq) ||(P_j - P_{j-1}) M^-1 g||_M^2 / g^T H_q^-1 g, with the
-        # M-orthogonal projectors P_j = E_j (E_j^T M E_j)^-1 E_j^T M formed densely
         hy = build_hierarchy(j_max)
-        t = build_triple(hy.level_fine_index(j_max), q)
-        m = t.mass.a
-        projectors = []
-        for j in hy.levels:
-            e = hy.embed_matrix(j)
-            projectors.append(e @ np.linalg.solve(e.T @ m @ e, e.T @ m))
+        oracle = dense_projector_ratio(hy, q)
         rng = np.random.default_rng(11)
         for _ in range(3):
-            g = rng.standard_normal(t.n)
-            f = np.linalg.solve(m, g)
-            numerator, prev = 0.0, np.zeros(t.n)
-            for j, p in enumerate(projectors):
-                d = p @ f - prev
-                numerator += 4.0 ** (-j * q) * float(d @ m @ d)
-                prev = p @ f
-            want = numerator / float(g @ np.linalg.solve(t.inner.a, g))
-            assert norm_equivalence_ratio(hy, q, DualVector(g)) == pytest.approx(want, rel=1e-12)
+            g = rng.standard_normal(hy.dims[j_max])
+            assert norm_equivalence_ratio(hy, q, DualVector(g)) == pytest.approx(oracle(g), rel=1e-12)
+
+    @pytest.mark.parametrize("q", (0.5, 1.0, 1.25))
+    def test_block_equals_one_functional_at_a_time(self, q):
+        hy = build_hierarchy(6)
+        block = np.random.default_rng(13).standard_normal((hy.dims[6], 9)) * np.logspace(-4, 4, 9)
+        one_by_one = [norm_equivalence_ratio(hy, q, DualVector(g)) for g in block.T]
+        assert_allclose(multiscale.norm_equivalence_ratios(hy, q, block), one_by_one, rtol=1e-14, atol=0.0)
+
+    def test_block_shape_is_checked(self):
+        hy = build_hierarchy(3)
+        for shape in ((hy.dims[3],), (hy.dims[3] - 1, 2)):
+            with pytest.raises(DimensionMismatch):
+                multiscale.norm_equivalence_ratios(hy, 0.5, np.ones(shape))
+
+    def test_seeded_report_matches_the_dense_oracle_sample_by_sample(self, tmp_path):
+        # the report draws every sample in one call; a draw per sample gives the same numbers
+        out = tmp_path / "r.json"
+        assert cli.main(["norm-equiv", "--q", "0.5", "--J", "5", "--samples", "12", "--seed", "5",
+                         "--output", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        hy = build_hierarchy(5)
+        oracle = dense_projector_ratio(hy, 0.5)
+        rng = np.random.default_rng(5)
+        ratios = [oracle(rng.standard_normal(hy.dims[5])) for _ in range(12)]
+        assert results["r_min"] == pytest.approx(min(ratios), rel=1e-12)
+        assert results["r_max"] == pytest.approx(max(ratios), rel=1e-12)
+
+    def test_cli_builds_no_fractional_triple(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a dense H^q Gram matrix was sized")
+
+        monkeypatch.setattr(spaces, "check_dense_fits", refuse)
+        assert cli.main(["norm-equiv", "--q", "0.5", "--J", "8", "--output", str(tmp_path / "r.json")]) == 0
+
+    def test_cli_forms_no_n_by_n_array_at_depth(self, tmp_path):
+        # an n x n float64 array at J = 10 (n = 2047) alone takes 33.5 MB
+        tracemalloc.start()
+        try:
+            argv = ["norm-equiv", "--q", "0.5", "--J", "10", "--samples", "50", "--output", str(tmp_path / "r.json")]
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_forms_no_primal_vector_and_prolongs_nothing(self, monkeypatch):
         def refuse(*args):

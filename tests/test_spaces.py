@@ -11,6 +11,8 @@ from framekit.spaces import (
     PrimalVector,
     build_triple,
     dual_norm,
+    grid_dual_norms_sq,
+    grid_spectrum,
     pairing,
     primal_norm,
     riesz_image,
@@ -108,11 +110,12 @@ class TestBuildTriple:
         assert build_triple(6, 0.5).n == 63
         with pytest.raises(DomainError, match="physical memory"):
             build_triple(9, 0.5)
-        # norm-equiv at q = 0.5 still builds a dense 511-node H^q Gram matrix
-        assert cli.main(["norm-equiv", "--q", "0.5", "--J", "8"]) == 1
+        # the Gramian of the q = 0.5 multilevel frame still builds a dense 511-node H^q Gram matrix
+        assert cli.main(["gramian", "--J", "8", "--q", "0.5"]) == 1
         assert "physical memory" in capsys.readouterr().err
-        # rates at q = 1 builds no dense n x n array at all
+        # rates at q = 1 and norm-equiv at q = 0.5 build no dense n x n array at all
         assert cli.main(["rates", "--J", "8", "--output", os.devnull]) == 0
+        assert cli.main(["norm-equiv", "--q", "0.5", "--J", "8", "--output", os.devnull]) == 0
 
 
 class TestNorms:
@@ -168,6 +171,26 @@ class TestNorms:
             v = PrimalVector(rng.standard_normal(t.n))
             quotient = pairing(g, v) ** 2 / primal_norm(t, v) ** 2
             assert dn2 - quotient >= -1e-10
+
+
+# the dense fractional oracle stops at j = 9 (511 nodes); the banded q = 0 and q = 1 ones go on
+GRID_DUAL_CASES = [(j, q) for j in range(1, 10) for q in (0.0, 0.25, 0.5, 1.0, 1.25)]
+GRID_DUAL_CASES += [(j, q) for j in (10, 11) for q in (0.0, 1.0)]
+
+
+class TestGridDualNorms:
+    @pytest.mark.parametrize("j_fine, q", GRID_DUAL_CASES)
+    def test_matches_dual_norm_of_the_triple(self, j_fine, q):
+        # the oracle solves with the assembled H^q Gram matrix: banded for q = 0 and 1, dense
+        # (Cholesky) otherwise, whose rounding grows with cond(H^q) = max d / min d
+        t = build_triple(j_fine, q)
+        spectrum = grid_spectrum(t.n, q)  # (kappa/mu)^q; d = mu (kappa/mu)^q with 1/3 <= mu/h <= 1
+        cond = 3.0 * spectrum.max / spectrum.min
+        rtol = 1e-12 if q <= 1.0 else max(1e-12, 100 * np.finfo(float).eps * cond)
+        block = np.random.default_rng(j_fine).standard_normal((t.n, 6)) * np.logspace(-3, 3, 6)
+        want = np.array([dual_norm(t, DualVector(a)) ** 2 for a in block.T])
+        assert_allclose(grid_dual_norms_sq(block, q), want, rtol=rtol, atol=0.0)
+        assert_allclose(grid_dual_norms_sq(block[:, 2], q), want[2], rtol=rtol, atol=0.0)
 
 
 class TestPairing:
