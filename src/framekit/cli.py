@@ -9,9 +9,10 @@ The configuration is declared once, in ``RunConfig``: each option stores
 into, and takes its default from, the field of its name, and the report's
 params are the fields, renamed where ``PARAM_KEYS`` says so.  Each field also
 declares the values it accepts, and ``run`` checks every field against them,
-whether the config came from argv or was built in code.  ``_SUBCOMMANDS`` lists
-the fields each subcommand reads: no other option parses, ``run`` refuses a
-config that sets another field, and an unwritable ``--output`` fails first.
+whether the config came from argv or was built in code.  ``_SUBCOMMANDS`` has a
+row per subcommand, from which the parser, ``RESULT_SCHEMAS`` and the CSV derive:
+no other option parses, ``run`` refuses a config that sets another field, and an
+unwritable ``--output`` fails first.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .multiscale import (
     jackson_rate,
     norm_equivalence_ratios,
 )
+from .numerics import RANK_RTOL
 from .operator_repr import (
     composition_check,
     direct_solution,
@@ -168,7 +170,7 @@ def _cmd_bounds(cfg: RunConfig, rng):
         _check("lower_bound_positive", b.lower > 0.0, b.lower, 0.0),
         _check("bounds_ordered", b.lower <= b.upper, b.ratio, 1.0),
     ]
-    return results, checks, None
+    return results, checks
 
 
 def _random_suite(cfg: RunConfig, rng):
@@ -223,7 +225,7 @@ def _cmd_dual(cfg: RunConfig, rng):
         _check("dual_frame_operator_is_inverse", dev_sop <= 1e-9, dev_sop, 1e-9),
         _check("reconstruction_identities", dev_recon <= 1e-10, dev_recon, 1e-10),
     ]
-    return results, checks, None
+    return results, checks
 
 
 def _projector_residuals(frame, rng):
@@ -235,7 +237,7 @@ def _projector_residuals(frame, rng):
     sym = float(np.linalg.norm(g - g.T)) / gn
     pair = float(np.linalg.norm(g - g_rev)) / gn
     u, s, _ = np.linalg.svd(frame.elements.T, full_matrices=False)
-    keep = s > s[0] * 1e-10
+    keep = s > s[0] * RANK_RTOL
     p_svd = u[:, keep] @ u[:, keep].T
     svd_diff = float(np.linalg.norm(g - p_svd)) / gn
     split = 0.0
@@ -267,7 +269,7 @@ def _cmd_gramian(cfg: RunConfig, rng):
     res = _projector_residuals(frame, rng)
     results = {"frame": source, **res}
     checks = [_check(name, value <= 1e-10, value, 1e-10) for name, value in res.items()]
-    return results, checks, None
+    return results, checks
 
 
 def _growth_band(q: float) -> tuple[float, float]:
@@ -297,11 +299,7 @@ def _cmd_rates(cfg: RunConfig, rng):
         ok = all(lo <= gr <= hi for gr in growth) if growth else False
         worst = max(growth, key=lambda gr: abs(gr - 4.0**cfg.q)) if growth else None
         checks.append(_check("bernstein_growth", ok, worst, f"[{lo}, {hi}]"))
-    rows = [["study", "level", "value", "slope"]]
-    for rep, study in ((jackson, "jackson"), (bernstein, "bernstein")):
-        for j, v in zip(rep.levels, rep.values):
-            rows.append([study, j, repr(v), repr(rep.slope)])
-    return results, checks, rows
+    return results, checks
 
 
 def _cmd_norm_equiv(cfg: RunConfig, rng):
@@ -325,7 +323,7 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
         _check("equivalence_spread", spread <= cfg.max_spread, spread, cfg.max_spread),
         _check("scaling_invariance", homogeneity <= 1e-12, homogeneity, 1e-12),
     ]
-    return results, checks, None
+    return results, checks
 
 
 def _cmd_bpx(cfg: RunConfig, rng):
@@ -365,10 +363,7 @@ def _cmd_bpx(cfg: RunConfig, rng):
         ok = all(3.2 <= gr <= 4.8 for gr in growth)
         worst_growth = max(growth, key=lambda gr: abs(gr - 4.0))
         checks.append(_check("single_level_kappa_growth", ok, worst_growth, "[3.2, 4.8]"))
-    rows = [["J", "lower", "upper", "ratio", "kappa_single"]]
-    for r in rows_data:
-        rows.append([r["J"], repr(r["lower"]), repr(r["upper"]), repr(r["ratio"]), repr(r["kappa_single"])])
-    return results, checks, rows
+    return results, checks
 
 
 def _cmd_solve_poisson(cfg: RunConfig, rng):
@@ -408,7 +403,7 @@ def _cmd_solve_poisson(cfg: RunConfig, rng):
             2.0 ** -float(j_max),
         ),
     ]
-    return results, checks, None
+    return results, checks
 
 
 def _identity_block(frame, op):
@@ -461,23 +456,68 @@ def _cmd_identities(cfg: RunConfig, rng):
                 )
             else:
                 checks.append(_check(f"{name}.{key}", value <= 1e-8, value, 1e-8))
-    return results, checks, None
+    return results, checks
 
 
-# Each subcommand -> (handler, the RunConfig fields it reads): its options, besides output, which all read.
+class _Command(NamedTuple):
+    """A subcommand.  ``reads``: the RunConfig fields it reads, besides output and, with a table, fmt.
+
+    ``results``: a key maps to a JSON type name (or a list of them), ``{key: shape}`` is an object
+    with exactly those keys and ``[{...}]`` a list of such objects.
+    """
+
+    handler: Callable
+    reads: tuple[str, ...]
+    results: Union[str, dict]
+    table: Optional[Callable[[dict], list]] = None  # results -> the CSV rows of --format csv
+
+    @property
+    def options(self) -> tuple[str, ...]:
+        return self.reads + ("output",) + (("fmt",) if self.table else ())
+
+
+def _bpx_table(results: dict) -> list[list]:
+    return [list(results["rows"][0]), *(list(row.values()) for row in results["rows"])]
+
+
+def _rates_table(results: dict) -> list[list]:
+    return [["study", "level", "value", "slope"]] + [
+        [study, j, v, r["slope"]] for study, r in results.items() for j, v in zip(r["levels"], r["values"])
+    ]
+
+
+def _numbers(*keys) -> dict:
+    return dict.fromkeys(keys, "number")
+
+
+_RATE = {"levels": "array", "values": "array", **_numbers("slope", "constant"), "fit_window": "array"}
 _SUBCOMMANDS = {
-    "bounds": (_cmd_bounds, ("fixture",)),
-    "dual": (_cmd_dual, ("fixture", "samples", "seed")),
-    "gramian": (_cmd_gramian, ("fixture", "j_levels", "q", "seed")),
-    "rates": (_cmd_rates, ("j_levels", "q", "fmt")),
-    "norm-equiv": (_cmd_norm_equiv, ("j_levels", "q", "samples", "seed", "max_spread")),
-    "bpx": (_cmd_bpx, ("j_levels", "q", "max_ratio", "fmt")),
-    "solve-poisson": (_cmd_solve_poisson, ("j_levels", "tol")),
-    "identities": (_cmd_identities, ("j_levels",)),
+    "bounds": _Command(_cmd_bounds, ("fixture",), {
+        "fixture": "string", **_numbers("lower", "upper", "ratio"), "tight": "boolean", "note": ["string", "null"],
+    }),
+    "dual": _Command(_cmd_dual, ("fixture", "samples", "seed"), {
+        "frames_tested": "integer",
+        **_numbers("dual_bounds_deviation", "frame_operator_inverse_deviation", "reconstruction_deviation"),
+    }),
+    "gramian": _Command(_cmd_gramian, ("fixture", "j_levels", "q", "seed"), {
+        "frame": "string", **_numbers("idempotency", "symmetry", "transpose_pair", "svd_projector", "splitting"),
+    }),
+    "rates": _Command(_cmd_rates, ("j_levels", "q"), {"jackson": _RATE, "bernstein": _RATE}, _rates_table),
+    "norm-equiv": _Command(_cmd_norm_equiv, ("j_levels", "q", "samples", "seed", "max_spread"), {
+        "samples": "integer", **_numbers("r_min", "r_max", "spread", "homogeneity_deviation"),
+    }),
+    "bpx": _Command(_cmd_bpx, ("j_levels", "q", "max_ratio"), {
+        "q": "number", "rows": [{"J": "integer", **_numbers("lower", "upper", "ratio", "kappa_single")}],
+    }, _bpx_table),
+    "solve-poisson": _Command(_cmd_solve_poisson, ("j_levels", "tol"), {
+        "J": "integer", "iterations": "integer",
+        **_numbers("residual", "h1_error_vs_direct", "h1_error_vs_interpolant", "min_norm_deviation"),
+    }),
+    "identities": _Command(_cmd_identities, ("j_levels",), "object"),  # its keys are the frame instances' names
 }
 
 COMMANDS = tuple(_SUBCOMMANDS)
-CSV_COMMANDS = tuple(name for name, (_, reads) in _SUBCOMMANDS.items() if "fmt" in reads)
+CSV_COMMANDS = tuple(name for name, row in _SUBCOMMANDS.items() if row.table)
 
 
 # -- report assembly -----------------------------------------------------------
@@ -505,83 +545,18 @@ REPORT_SCHEMA = {
     },
 }
 
-RESULT_SCHEMAS = {
-    "bounds": {
-        "type": "object",
-        "required": ["fixture", "lower", "upper", "ratio", "tight"],
-        "properties": {
-            "fixture": {"type": "string"},
-            "lower": {"type": "number"},
-            "upper": {"type": "number"},
-            "ratio": {"type": "number"},
-            "tight": {"type": "boolean"},
-            "note": {"type": ["string", "null"]},
-        },
-    },
-    "dual": {
-        "type": "object",
-        "required": [
-            "frames_tested",
-            "dual_bounds_deviation",
-            "frame_operator_inverse_deviation",
-            "reconstruction_deviation",
-        ],
-    },
-    "gramian": {
-        "type": "object",
-        "required": [
-            "frame",
-            "idempotency",
-            "symmetry",
-            "transpose_pair",
-            "svd_projector",
-            "splitting",
-        ],
-    },
-    "rates": {
-        "type": "object",
-        "required": ["jackson", "bernstein"],
-        "properties": {
-            "jackson": {
-                "type": "object",
-                "required": ["levels", "values", "slope", "constant", "fit_window"],
-            },
-            "bernstein": {
-                "type": "object",
-                "required": ["levels", "values", "slope", "constant", "fit_window"],
-            },
-        },
-    },
-    "norm-equiv": {
-        "type": "object",
-        "required": ["samples", "r_min", "r_max", "spread", "homogeneity_deviation"],
-    },
-    "bpx": {
-        "type": "object",
-        "required": ["q", "rows"],
-        "properties": {
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["J", "lower", "upper", "ratio", "kappa_single"],
-                },
-            }
-        },
-    },
-    "solve-poisson": {
-        "type": "object",
-        "required": [
-            "J",
-            "iterations",
-            "residual",
-            "h1_error_vs_direct",
-            "h1_error_vs_interpolant",
-            "min_norm_deviation",
-        ],
-    },
-    "identities": {"type": "object"},
-}
+
+def _schema(shape) -> dict:
+    """The JSON schema of a results shape: every key required and typed, every object closed."""
+    if isinstance(shape, dict):
+        properties = {key: _schema(value) for key, value in shape.items()}
+        return {"type": "object", "required": list(shape), "properties": properties, "additionalProperties": False}
+    if isinstance(shape, list) and isinstance(shape[0], dict):
+        return {"type": "array", "items": _schema(shape[0])}
+    return {"type": shape}
+
+
+RESULT_SCHEMAS = {name: _schema(row.results) for name, row in _SUBCOMMANDS.items()}
 
 
 def render_json(report: dict) -> str:
@@ -599,13 +574,13 @@ def run(config: RunConfig) -> int:
     """Execute one configured study; returns the process exit code."""
     if config.command not in _SUBCOMMANDS:
         raise UsageError(f"unknown command {config.command!r}")
-    handler, reads = _SUBCOMMANDS[config.command]
+    row = _SUBCOMMANDS[config.command]
     ignored = []
     for f in (f for f in fields(config) if f.metadata):  # every option, before any work
         (test, wording), value = f.metadata["valid"], getattr(config, f.name)
         if not test(value):
             raise UsageError(f"{f.metadata['flag']} must be {wording}, got {value!r}")
-        if f.name not in reads + ("output",) and value != f.default:
+        if f.name not in row.options and value != f.default:
             ignored.append(f.metadata["flag"])
     if ignored:
         raise UsageError(f"{config.command} does not read {', '.join(ignored)}")
@@ -616,21 +591,20 @@ def run(config: RunConfig) -> int:
             raise UsageError(f"cannot write --output {config.output}: not a writable file path")
     rng = np.random.default_rng(config.seed)
     try:
-        results, checks, rows = handler(config, rng)
+        results, checks = row.handler(config, rng)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     except FramekitError as exc:
         results = {"error": str(exc)}
         checks = [_check("computation_completed", False, str(exc), None)]
-        rows = None
     report = {
         "command": config.command,
         "params": config.params_dict(),
         "results": results,
         "checks": checks,
     }
-    if config.fmt == "csv":
-        payload = render_csv(rows or [])
+    if config.fmt == "csv":  # a failed computation has no table: its CSV is empty
+        payload = render_csv([] if "error" in results else row.table(results))
     else:
         payload = render_json(report)
     if config.output:
@@ -656,11 +630,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="framekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
     parser.commands = sub.choices  # name -> subcommand parser
-    for name, (_, reads) in _SUBCOMMANDS.items():
+    for name, row in _SUBCOMMANDS.items():
         # an option not given stays out of the namespace, so its field keeps its default
         command = sub.add_parser(name, help=f"run the {name} study", argument_default=argparse.SUPPRESS)
         for f in fields(RunConfig):
-            if f.name in reads + ("output",):
+            if f.name in row.options:
                 command.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
     return parser
 

@@ -45,9 +45,9 @@ from .spaces import (
     DiscreteGelfandTriple,
     DualVector,
     PrimalVector,
-    _grid_pencil,
     build_triple,
     grid_dual_norms_sq,
+    grid_hq_eigenvalues,
     grid_spectrum,
 )
 
@@ -310,8 +310,7 @@ def _bpx_class_blocks(j_max: int, q: float):
     pairs (a, a) and (a, w-1-a).
     """
     n = 2 ** (j_max + 1) - 1
-    kappa, mu = _grid_pencil(n)
-    d = mu ** (1.0 - q) * kappa**q
+    d = grid_hq_eigenvalues(n, q)
     for v in range(j_max + 1):
         k = np.arange(2**v, n + 1, 2 ** (v + 1))
         block = np.diag(1.5 * (n + 1) * 4.0 ** (-j_max * q) * d[k - 1])

@@ -276,8 +276,8 @@ def cg_solve(
     the recursive residual meets tol but the true one does not, CG restarts
     from the true residual.  If the next such check finds it no lower, tol
     is below the attainable accuracy.  NoConvergence is raised then, on
-    breakdown and after maxit; once CG has restarted, it reports the
-    smallest relative true residual reached, as the recursive one may drift.
+    breakdown and after maxit, with a true relative residual, as the recursive
+    one may drift: the lower of the last (re)start's and the best iterate's.
     """
     rhs = np.asarray(b, dtype=float)
     nb = float(np.linalg.norm(rhs))
@@ -287,7 +287,12 @@ def cg_solve(
     r = rhs.copy()
     p = r.copy()
     rs = float(r @ r)
-    restart_norm = nb  # true residual norm at the last (re)start: the smallest seen, below nb once restarted
+    restart_norm = nb  # true residual norm at the last (re)start: the smallest seen
+    best, best_rs = x.copy(), rs  # the best iterate: the one of least recursive residual
+
+    def no_convergence(k):
+        return NoConvergence(k, min(restart_norm, float(np.linalg.norm(rhs - apply_op(best)))) / nb)
+
     for k in range(1, maxit + 1):
         ap = apply_op(p)
         pap = float(p @ ap)
@@ -295,18 +300,21 @@ def cg_solve(
             # breakdown: direction fell into the numerical kernel
             if np.sqrt(rs) <= tol * nb:
                 return x, k - 1
-            raise NoConvergence(k - 1, (restart_norm if restart_norm < nb else float(np.sqrt(rs))) / nb)
+            raise no_convergence(k - 1)
         alpha = rs / pap
         x += alpha * p
         r -= alpha * ap
         rs_new = float(r @ r)
+        if rs_new < best_rs:
+            np.copyto(best, x)
+            best_rs = rs_new
         if np.sqrt(rs_new) <= tol * nb:
             true_r = rhs - apply_op(x)
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= tol * nb:
                 return x, k
             if true_norm >= restart_norm:
-                raise NoConvergence(k, (restart_norm if restart_norm < nb else true_norm) / nb)
+                raise no_convergence(k)
             # recursion drifted from the true residual: restart from it
             r, restart_norm = true_r, true_norm
             rs = float(r @ r)
@@ -315,7 +323,7 @@ def cg_solve(
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-    raise NoConvergence(maxit, (restart_norm if restart_norm < nb else float(np.sqrt(rs))) / nb)
+    raise no_convergence(maxit)
 
 
 def min_norm_solve(a, b) -> np.ndarray:

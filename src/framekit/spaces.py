@@ -169,6 +169,12 @@ def _grid_pencil(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (4.0 / h) * np.sin(0.5 * theta) ** 2, (h / 3.0) * (2.0 + np.cos(theta))
 
 
+def grid_hq_eigenvalues(n: int, q: float) -> np.ndarray:
+    """Eigenvalues d = mu^(1-q) kappa^q of the H^q Gram matrix Q diag(d) Q^T on n interior nodes."""
+    kappa, mu = _grid_pencil(n)
+    return mu ** (1.0 - q) * kappa**q
+
+
 def grid_dual_norms_sq(actions, q: float) -> np.ndarray:
     """Squared (H^q)' norms a^T inner^-1 a of the columns of an n x s block, on n interior nodes.
 
@@ -179,8 +185,7 @@ def grid_dual_norms_sq(actions, q: float) -> np.ndarray:
     n = a.shape[0]
     ext = np.zeros((2 * (n + 1),) + a.shape[1:])
     ext[1 : n + 1], ext[n + 2 :] = a, -a[::-1]
-    kappa, mu = _grid_pencil(n)
-    d = (2 * (n + 1)) * mu ** (1.0 - q) * kappa**q
+    d = (2 * (n + 1)) * grid_hq_eigenvalues(n, q)
     return np.einsum("k...,k->...", np.fft.rfft(ext, axis=0).imag[1 : n + 1] ** 2, 1.0 / d)
 
 
@@ -217,8 +222,8 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     matrices have the exact closed-form tridiagonal entries
     mass = h * (1/6, 2/3, 1/6) and stiffness = (-1, 2, -1)/h.  The H^q
     Gram matrix is the mass matrix for q = 0, the stiffness matrix for
-    q = 1, and otherwise Q diag(mu^(1-q) kappa^q) Q^T on the shared sine
-    eigenbasis (``sine_congruence``), which is what
+    q = 1, and otherwise Q diag(d) Q^T with d = ``grid_hq_eigenvalues(n, q)``
+    on the shared sine eigenbasis (``sine_congruence``), which is what
     ``spectral_inner_matrix`` computes densely.  Mass and stiffness are
     ``Tridiagonal`` objects; only a fractional-q Gram matrix is dense.  The
     (inner, mass) pencil spectrum is ``grid_spectrum(n, q)``.
@@ -233,14 +238,13 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     h = 2.0**-j_fine
     mass = Tridiagonal(n, 2.0 * h / 3.0, h / 6.0)
     stiffness = Tridiagonal(n, 2.0 / h, -1.0 / h)
-    kappa, mu = _grid_pencil(n)
     if q == 0.0:
         inner = mass
     elif q == 1.0:
         inner = stiffness
     else:
         check_dense_fits(n, DENSE_ARRAYS)
-        inner = SymMatrix(sine_congruence(mu ** (1.0 - q) * kappa**q))
+        inner = SymMatrix(sine_congruence(grid_hq_eigenvalues(n, q)))
     return DiscreteGelfandTriple(
         n=n, mass=mass, inner=inner, stiffness=stiffness, j_fine=j_fine, h=h, q=float(q)
     )

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import csv
 import io
 import json
@@ -23,6 +24,7 @@ from framekit.cli import (
     parse_level_range,
     run,
 )
+from framekit.errors import NoConvergence
 
 
 def run_to_file(tmp_path, argv, name="report.json"):
@@ -39,8 +41,8 @@ def subparser(command):
 def record_handler_calls(monkeypatch, command):
     """Swap the command's handler for one that records its calls."""
     calls = []
-    _, reads = cli._SUBCOMMANDS[command]
-    monkeypatch.setitem(cli._SUBCOMMANDS, command, (lambda cfg, rng: calls.append(cfg), reads))
+    row = cli._SUBCOMMANDS[command]
+    monkeypatch.setitem(cli._SUBCOMMANDS, command, row._replace(handler=lambda cfg, rng: calls.append(cfg)))
     return calls
 
 
@@ -201,8 +203,9 @@ class TestParsing:
         assert_refused(tmp_path, monkeypatch, argv, command="solve-poisson", j_levels=(2,), tol=float(tol))
 
     def test_unreachable_tolerance_exits_2_with_the_true_residual(self, tmp_path):
-        # at 1e-15 the recursive residual grows to about 20 after the restarts
-        for tol in ("1e-14", "1e-15"):
+        # at 1e-15 the recursive residual grows to about 20 after the restarts; at 2.3e-16 it never
+        # meets tol, so CG never restarts while its iterate drifts along the kernel
+        for tol in ("1e-14", "1e-15", "2.3e-16"):
             code, payload = run_to_file(tmp_path, ["solve-poisson", "--J", "10", "--tol", tol])
             assert code == 2
             message = json.loads(payload)["results"]["error"]
@@ -282,26 +285,69 @@ class TestDeterminism:
         assert b1 != b2
 
 
+# One passing run of each command.
+ONE_RUN_EACH = [
+    ["bounds", "--fixture", "F1"],
+    ["dual", "--samples", "4", "--seed", "3"],
+    ["gramian", "--fixture", "F1"],
+    ["rates", "--J", "5", "--q", "1"],
+    ["norm-equiv", "--q", "1", "--J", "4", "--samples", "10"],
+    ["bpx", "--q", "1", "--J", "2..3"],
+    ["solve-poisson", "--J", "3", "--tol", "1e-8"],
+    ["identities", "--J", "2"],
+]
+
+
+def objects_in(results):
+    """Every JSON object in ``results``, itself first, in a fixed order."""
+    yield results
+    for value in results.values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, dict):
+                yield from objects_in(item)
+
+
+def wrong_values(value):
+    """JSON values of another type than ``value``'s."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return [1]  # for a string, boolean, null, list or object
+    return ["3", 0.5] if isinstance(value, int) else ["3"]
+
+
+def broken_copies(results):
+    """(change, copy of results with one object given an extra key, a missing key or a mistyped value)."""
+    for i, obj in enumerate(objects_in(results)):
+        edits = [("extra key", lambda o: o.update(extra=0.0))]
+        for key in obj:
+            edits.append((f"no {key}", lambda o, key=key: o.pop(key)))
+            for v in wrong_values(obj[key]):
+                edits.append((f"{key}: {v!r}", lambda o, key=key, v=v: o.update({key: v})))
+        for change, edit in edits:
+            broken = copy.deepcopy(results)
+            edit(list(objects_in(broken))[i])
+            yield change, broken
+
+
 class TestSchemas:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bounds", "--fixture", "F1"],
-            ["dual", "--samples", "4", "--seed", "3"],
-            ["gramian", "--fixture", "F1"],
-            ["rates", "--J", "5", "--q", "1"],
-            ["norm-equiv", "--q", "1", "--J", "4", "--samples", "10"],
-            ["bpx", "--q", "1", "--J", "2..3"],
-            ["solve-poisson", "--J", "3", "--tol", "1e-8"],
-            ["identities", "--J", "2"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", ONE_RUN_EACH)
     def test_reports_validate(self, tmp_path, argv):
         code, payload = run_to_file(tmp_path, argv)
         assert code == 0
         report = json.loads(payload)
         jsonschema.validate(report, REPORT_SCHEMA)
         jsonschema.validate(report["results"], RESULT_SCHEMAS[report["command"]])
+
+    @pytest.mark.parametrize("argv", ONE_RUN_EACH, ids=lambda argv: argv[0])
+    def test_a_key_too_many_or_too_few_or_of_the_wrong_type_is_rejected(self, tmp_path, argv):
+        _, payload = run_to_file(tmp_path, argv)
+        results = json.loads(payload)["results"]
+        validator = jsonschema.Draft202012Validator(RESULT_SCHEMAS[argv[0]])
+        assert not validator.is_valid([results])
+        if argv[0] == "identities":  # an open object: its keys are the frame instances' names
+            return
+        broken = list(broken_copies(results))
+        assert len(broken) > 2 * len(results)  # an extra key, then a missing and a mistyped value per key
+        assert [change for change, bad in broken if validator.is_valid(bad)] == []
 
     def test_every_command_has_a_results_schema(self):
         from framekit.cli import COMMANDS
@@ -347,6 +393,10 @@ class TestReports:
         assert [r[0] for r in rows[1:]] == ["2", "3", "4"]
         for row in rows[1:]:
             assert float(row[3]) <= 60.0
+        _, payload = run_to_file(tmp_path, ["bpx", "--q", "1", "--J", "2..4"])
+        depths = json.loads(payload)["results"]["rows"]
+        assert set(rows[0]) == set(depths[0])  # the report sorts its keys
+        assert rows[1:] == [[str(depth[key]) for key in rows[0]] for depth in depths]
 
     def test_rates_csv_layout(self, tmp_path):
         code, payload = run_to_file(
@@ -357,6 +407,13 @@ class TestReports:
         assert rows[0] == ["study", "level", "value", "slope"]
         studies = {r[0] for r in rows[1:]}
         assert studies == {"jackson", "bernstein"}
+        _, payload = run_to_file(tmp_path, ["rates", "--J", "5", "--q", "1"])
+        rates = json.loads(payload)["results"]
+        assert rows[1:] == [
+            [study, str(level), str(value), str(rates[study]["slope"])]
+            for study in ("jackson", "bernstein")
+            for level, value in zip(rates[study]["levels"], rates[study]["values"])
+        ]
 
     def test_stdout_when_no_output_path(self, capsys):
         code = main(["bounds", "--fixture", "F4"])
@@ -403,9 +460,20 @@ class TestExitCodes:
         def broken(cfg, rng):
             raise KeyError("internal")
 
-        monkeypatch.setitem(cli._SUBCOMMANDS, "bounds", (broken, ("fixture",)))
+        monkeypatch.setitem(cli._SUBCOMMANDS, "bounds", cli._SUBCOMMANDS["bounds"]._replace(handler=broken))
         with pytest.raises(KeyError):
             main(["bounds"])
+
+    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    def test_failed_computation_writes_an_empty_csv(self, tmp_path, monkeypatch, command):
+        def no_convergence(*args):
+            raise NoConvergence(7, 0.5)
+
+        monkeypatch.setattr(cli, "bpx_bounds", no_convergence)
+        monkeypatch.setattr(cli, "jackson_rate", no_convergence)
+        depths = "2..5" if command == "bpx" else "5"
+        code, payload = run_to_file(tmp_path, [command, "--J", depths, "--format", "csv"])
+        assert (code, payload) == (2, b"")
 
     def test_csv_commands_constant(self):
         assert set(CSV_COMMANDS) == {"rates", "bpx"}

@@ -26,6 +26,7 @@ from framekit.numerics import generalized_eigs
 from framekit.operator_repr import conditioning_row
 from framekit.spaces import (
     build_triple,
+    grid_hq_eigenvalues,
     grid_spectrum,
     sine_congruence,
     spectral_inner_matrix,
@@ -46,6 +47,13 @@ def test_inner_matches_dense_spectral_construction(j_fine, q):
     t = build_triple(j_fine, q)
     oracle = spectral_inner_matrix(t.stiffness, t.mass, q)
     assert relative_max_error(t.inner.a, oracle.a) <= 1e-12
+
+
+@pytest.mark.parametrize("q", (0.0, 1.0))
+@pytest.mark.parametrize("j_fine", J_FINE)
+def test_hq_eigenvalues_diagonalize_mass_and_stiffness(j_fine, q):
+    t = build_triple(j_fine, q)  # inner is the tridiagonal mass or stiffness, built without the eigenvalues
+    assert relative_max_error(sine_congruence(grid_hq_eigenvalues(t.n, q)), t.inner.a) <= 1e-12
 
 
 @pytest.mark.parametrize("q", (0.0, 1.0) + FRACTIONAL_Q)

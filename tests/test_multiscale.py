@@ -22,7 +22,7 @@ from framekit.multiscale import (
     prolong_to_fine,
     sample_on_fine_grid,
 )
-from framekit.spaces import DualVector, PrimalVector, _grid_pencil, build_triple, dual_norm
+from framekit.spaces import DualVector, PrimalVector, build_triple, dual_norm, grid_hq_eigenvalues
 
 
 def dense_projector_ratio(hy, q):
@@ -479,8 +479,7 @@ class TestBpxBounds:
         n = hy.fine_triple().n
         modes = np.arange(1, n + 1)
         sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(modes, modes) / (n + 1))
-        kappa, mu = _grid_pencil(n)
-        d = mu ** (1.0 - q) * kappa**q
+        d = grid_hq_eigenvalues(n, q)
         assert_allclose((sines * d) @ sines.T, hy.fine_triple(q).inner.a, rtol=0, atol=1e-12 * d.max())
         b = np.sqrt(d)[:, None] * (sines.T @ bpx_frame(hy, q).elements)
         t = b @ b.T
@@ -496,8 +495,7 @@ class TestBpxBounds:
         hy = build_hierarchy(j)
         columns = bpx_frame(hy, q).columns
         n = columns.shape[0]
-        kappa, mu = _grid_pencil(n)
-        d = mu ** (1.0 - q) * kappa**q
+        d = grid_hq_eigenvalues(n, q)
         nodes = np.arange(1, n + 1)
         seen = []
         for k, block in multiscale._bpx_class_blocks(j, q):

@@ -3,13 +3,15 @@
 The reference file is the one the benchmark's correctness gate reads
 (``perfbench/reference.json``), so the repository keeps a single golden
 copy.  Fields are compared with the gate's ``compare``: rtol 1e-8, with
-residual fields left to each report's own checks.
+residual fields left to each report's own checks.  Every golden report also
+validates against the closed, typed schemas the command table derives.
 """
 
 import json
 import pathlib
 import sys
 
+import jsonschema
 import pytest
 
 from framekit import cli
@@ -33,3 +35,10 @@ def test_unseeded_op_matches_reference(reference, op, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(list(op.argv) + ["--output", str(out)]) == 0
     assert compare(reference[op.label], json.loads(out.read_text())) is None
+
+
+@pytest.mark.parametrize("label", sorted(load_reference()))
+def test_reference_report_validates(reference, label):
+    report = reference[label]
+    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    jsonschema.validate(report["results"], cli.RESULT_SCHEMAS[report["command"]])
