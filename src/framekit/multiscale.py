@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError
@@ -296,7 +295,7 @@ def bpx_bounds(hy: MultiscaleHierarchy, q: float) -> FrameBounds:
     """
     if not 0.0 <= q < GAMMA:
         raise DomainError(f"q must lie in [0, {GAMMA}), got {q}")
-    values = [scipy.linalg.eigvalsh(b, check_finite=False) for _, b in _bpx_class_blocks(hy.j_max, q)]
+    values = [np.linalg.eigvalsh(b) for _, b in _bpx_class_blocks(hy.j_max, q)]
     spectrum = PencilSpectrum.from_eigenvalues(np.sort(np.concatenate(values)))
     return FrameBounds(lower=spectrum.min, upper=spectrum.max, spectrum=spectrum)
 

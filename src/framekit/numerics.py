@@ -5,8 +5,8 @@ dense symmetric array; ``Tridiagonal`` is a symmetric tridiagonal
 Toeplitz matrix stored by its two values, whose products and banded
 Cholesky factor cost O(n) and whose dense view is built only when a
 dense consumer asks for it.  Each applies with ``@`` in its stored form.
-``spd_solver`` factors either (banded or dense Cholesky, one refinement
-loop), and ``cg_solve`` takes the operator as a callable, so it serves
+``spd_solver`` factors either (banded Cholesky, refined, or dense
+Cholesky), and ``cg_solve`` takes the operator as a callable, so it serves
 the sparse layers above: the minimal-norm coefficients of CSR frames
 (frames) and the matrix-free frame-Galerkin action on the multilevel
 frame's CSR columns (operator_repr).  The eigen- and SVD kernels stay
@@ -15,6 +15,16 @@ easier to cross-check.  A grid triple's own (inner, mass) pencil is
 closed-form (``spaces.grid_spectrum``); these kernels solve it only as
 its oracle.  All operations are pure functions of immutable inputs and
 are safe to call concurrently.
+
+Dense factorizations and eigensolves use ``numpy.linalg``, whose OpenBLAS
+also runs ``@``: scipy loads a second OpenBLAS, whose thread pool fights
+numpy's still-spinning threads for the cores after a threaded call (2 vCPUs:
+an SVD and a Cholesky solve at 63 x 120 took 8.0 ms mixed, 1.6 ms in one
+library).  numpy has no triangular solve, so the dense ``spd_solver`` keeps
+the inverse Cholesky factor, unrefined: at the rounding floor a refinement
+step swaps the factor's error, common to all columns, for per-column noise
+amplified by the condition number, which broke the reconstruction identities
+of ill-conditioned frames.  scipy keeps the banded Cholesky and pencil ``eigh``.
 """
 
 from __future__ import annotations
@@ -181,41 +191,43 @@ class PencilSpectrum:
 def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
     """Factor an SPD matrix once and return the solve closure.
 
-    A Tridiagonal is factored banded (O(n)), anything else densely.  The
-    closure applies one or two steps of iterative refinement, which
-    pushes the relative residual to ~1e-13 even for the stiffest desk-scale
-    matrices.  Raises NotPositiveDefinite when a pivot fails.
+    A dense matrix is factored A = L L^T by numpy; the closure keeps L^-1,
+    and a solve is the two products L^-T (L^-1 b), unrefined (see the module
+    docstring).  A Tridiagonal is factored banded (O(n)), and each solve
+    applies up to four steps of iterative refinement, each column of a block
+    judged on its own residual, which pushes every column's relative residual
+    to ~1e-13 even for the stiffest grids.  Raises NotPositiveDefinite when
+    a pivot fails.
     """
-    banded = isinstance(a, Tridiagonal)
-    mat = a if banded else as_dense(a)
-    cho_solve = scipy.linalg.cho_solve_banded if banded else scipy.linalg.cho_solve
     try:
-        if banded:
-            band = scipy.linalg.cholesky_banded(mat.banded_lower(), lower=True, check_finite=False)
-            factor = (band, True)
-        else:
-            factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
+        if not isinstance(a, Tridiagonal):
+            li = np.linalg.inv(np.linalg.cholesky(as_dense(a)))
+            return lambda rhs: li.T @ (li @ np.asarray(rhs, dtype=float))
+        band = scipy.linalg.cholesky_banded(a.banded_lower(), lower=True, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NotPositiveDefinite(str(exc)) from None
 
+    def direct(b: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve_banded((band, True), b, check_finite=False)
+
     def solve(rhs: np.ndarray) -> np.ndarray:
         b = np.asarray(rhs, dtype=float)
-        x = cho_solve(factor, b, check_finite=False)
-        nb = np.linalg.norm(b)
-        if nb > 0.0:
-            best_x, best_r = x, float(np.linalg.norm(b - mat @ x))
-            for _ in range(4):
-                if best_r <= 1e-13 * nb:
-                    break
-                x = x + cho_solve(factor, b - mat @ x, check_finite=False)
-                res = float(np.linalg.norm(b - mat @ x))
-                if res >= 0.5 * best_r:  # stagnated at the precision floor
-                    if res < best_r:
-                        best_x, best_r = x, res
-                    break
-                best_x, best_r = x, res
-            x = best_x
-        return x
+        goal = 1e-13 * np.linalg.norm(b, axis=0)  # per column of a block
+        x = direct(b)
+        r = b - a @ x
+        best_x, best_r = x, np.linalg.norm(r, axis=0)
+        live = best_r > goal
+        for _ in range(4):
+            if not np.any(live):
+                break
+            x = x + direct(r)
+            r = b - a @ x
+            res = np.linalg.norm(r, axis=0)
+            best_x = np.where(res < best_r, x, best_x)
+            # a column stops once it meets the goal or stagnates at the precision floor
+            live &= (res > goal) & (res < 0.5 * best_r)
+            best_r = np.minimum(res, best_r)
+        return best_x
 
     return solve
 
@@ -224,7 +236,7 @@ def solve_spd(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
     Accepts a vector or a matrix right-hand side; a Tridiagonal is solved
-    banded.  The result carries a relative residual of at most ~1e-12.
+    banded; the residual is as ``spd_solver`` describes.
     """
     mat = a if isinstance(a, Tridiagonal) else as_dense(a)
     rhs = np.asarray(b, dtype=float)
@@ -370,3 +382,13 @@ def null_space(a) -> np.ndarray:
     cutoff = (s[0] * RANK_RTOL) if s.size else 0.0
     num_rank = int(np.count_nonzero(s > cutoff))
     return vt[num_rank:].T
+
+
+def largest_principal_angle(a, b) -> float:
+    """Largest principal angle between the spans of two orthonormal bases (pi/2 if sizes differ).
+
+    arcsin ||(I - A A^T) B||_2 keeps the small angles that arccos of the cosines rounds to 0.
+    """
+    if a.shape[1] != b.shape[1]:
+        return float(np.pi / 2)
+    return float(np.arcsin(min(1.0, np.linalg.norm(b - a @ (a.T @ b), 2))))

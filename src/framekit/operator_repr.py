@@ -11,17 +11,15 @@ never assembles M: it applies E^T L E with the frame's stored columns
 and the operator's stored form.  The Poisson operator stores the grid
 stiffness as a ``Tridiagonal``, so its products are O(n), its direct
 solve is banded and its dense matrix is built only for the dense
-consumers (matrix identities, LU solves, measured constants).
+consumers (matrix identities, direct solves, measured constants).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, DomainError, NotAFrame, SingularOperator
 from .frames import (
@@ -41,6 +39,7 @@ from .numerics import (
     as_dense,
     cg_solve,
     generalized_eigs,
+    largest_principal_angle,
     null_space,
     pseudo_inverse,
     solve_spd,
@@ -66,7 +65,6 @@ class OperatorSpec:
     elliptic: bool
     continuity: float
     ellipticity: float
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -77,22 +75,6 @@ class OperatorSpec:
         if len(f) != self.triple.n:
             raise DimensionMismatch(f"vector has size {len(f)}, operator has {self.triple.n}")
         return DualVector(self.form @ f.coeffs)
-
-
-def _solve_nonsingular(op: "OperatorSpec", rhs: np.ndarray) -> np.ndarray:
-    """LU solve against the operator matrix, refusing singular pivots."""
-    if "lu" not in op._cache:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            try:
-                op._cache["lu"] = scipy.linalg.lu_factor(op.matrix)
-            except (scipy.linalg.LinAlgError, ValueError) as exc:
-                raise SingularOperator(str(exc)) from None
-    lu, piv = op._cache["lu"]
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-        raise SingularOperator("operator matrix is numerically singular")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
 
 
 def make_operator(triple: DiscreteGelfandTriple, matrix) -> OperatorSpec:
@@ -177,11 +159,14 @@ def inverse_representation(f: FrameSpec, op: OperatorSpec) -> np.ndarray:
 
     This is the matrix that multiplies the primal representation of O to
     the cross-Gramian projector, and it coincides with the Moore-Penrose
-    inverse of that primal representation.
+    inverse of that primal representation.  Raises SingularOperator when
+    the operator's sigma_min <= 1e-14 sigma_max.
     """
+    s = np.linalg.svd(op.matrix, compute_uv=False)
+    if s[-1] <= 1e-14 * s[0]:
+        raise SingularOperator("operator matrix is numerically singular")
     dual = dual_frame(f)
-    cols = _solve_nonsingular(op, dual.elements)
-    return dual.elements.T @ cols
+    return dual.elements.T @ np.linalg.solve(op.matrix, dual.elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,14 +264,7 @@ def gram_identity_check(f: FrameSpec, op: OperatorSpec) -> GramIdentityReport:
     gn = max(float(np.linalg.norm(g)), 1e-300)
     left = float(np.linalg.norm(m_inv @ m - g)) / gn
     right = float(np.linalg.norm(m @ m_inv - g)) / gn
-    ker_m = null_space(m_inv)
-    ker_d = null_space(f.elements)
-    if ker_m.shape[1] != ker_d.shape[1]:
-        angle = float(np.pi / 2)
-    elif ker_m.shape[1] == 0:
-        angle = 0.0
-    else:
-        angle = float(np.max(scipy.linalg.subspace_angles(ker_m, ker_d)))
+    angle = largest_principal_angle(null_space(m_inv), null_space(f.elements))
     return GramIdentityReport(left_residual=left, right_residual=right, kernel_angle=angle)
 
 

@@ -285,6 +285,19 @@ class TestDeterminism:
         assert b1 != b2
 
 
+class TestDualAccuracy:
+    @pytest.mark.parametrize("seed", [737181561, 1458496961])
+    def test_ill_conditioned_frames_keep_the_reconstruction_identities(self, tmp_path, seed):
+        # each suite holds a frame operator of condition 3e6 to 9e6 (so dual_bounds_are_reciprocal
+        # fails, as expected); the dense solves of its dual frame reconstruct to about 1e-10,
+        # where a refinement step at the rounding floor would add noise up to 4e-8
+        code, payload = run_to_file(tmp_path, ["dual", "--samples", "30", "--seed", str(seed)])
+        results = json.loads(payload)["results"]
+        assert code == 2
+        assert results["reconstruction_deviation"] <= 1e-9
+        assert results["frame_operator_inverse_deviation"] <= 1e-9
+
+
 # One passing run of each command.
 ONE_RUN_EACH = [
     ["bounds", "--fixture", "F1"],

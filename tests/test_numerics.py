@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from framekit.errors import (
@@ -14,11 +15,14 @@ from framekit.numerics import (
     cg_solve,
     generalized_eig_pairs,
     generalized_eigs,
+    largest_principal_angle,
     min_norm_solve,
     null_space,
     pseudo_inverse,
     solve_spd,
+    spd_solver,
 )
+from framekit.spaces import build_triple, grid_dual_norms_sq
 
 
 def random_spd(rng, n):
@@ -98,6 +102,83 @@ class TestSolveSpd:
         b = rng.standard_normal((5, 4))
         x = solve_spd(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+class TestDenseSpdSolverOracle:
+    """The dense branch (numpy Cholesky, kept inverse factor) against scipy's cho_solve."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e7, 1e10])
+    @pytest.mark.parametrize("cols", [None, 5])
+    def test_matches_scipy_cho_solve(self, cond, cols):
+        rng = np.random.default_rng(int(np.log10(cond)) + 17 * (cols or 0))
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = (q * np.logspace(0.0, -np.log10(cond), 40)) @ q.T  # eigenvalues 1 down to 1/cond
+        a = 0.5 * (a + a.T)
+        b = a @ rng.standard_normal(40 if cols is None else (40, cols))
+        x = spd_solver(a)(b)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
+        assert x.shape == b.shape
+        nb = np.linalg.norm(b, axis=0)
+        # for b = A x0 both residuals sit near eps ||b||: they agree to 1e-12 relative in the
+        # image of A, and forward to eps times the condition number
+        assert np.all(np.linalg.norm(a @ (x - ref), axis=0) <= 1e-12 * nb)
+        assert np.all(np.linalg.norm(x - ref, axis=0) <= 1e-14 * cond * np.linalg.norm(ref, axis=0))
+
+    def test_symmatrix_input(self):
+        rng = np.random.default_rng(4)
+        a = random_spd(rng, 12)
+        b = rng.standard_normal((12, 3))
+        assert_allclose(spd_solver(SymMatrix(a))(b), scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b),
+                        rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_indefinite_raises(self, n):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.r_[-1e-3, np.ones(n - 1)]) @ q.T
+        with pytest.raises(NotPositiveDefinite):
+            spd_solver(0.5 * (a + a.T))
+
+
+class TestBandedRefinement:
+    @pytest.mark.parametrize("j_fine", [12, 13])
+    def test_block_columns_are_refined_on_their_own_scale(self, j_fine):
+        # beside a column 1e10 times larger, which meets its goal at once, each rough column
+        # must still be refined on its own scale: its (H^1)' norm a^T K^-1 a matches the
+        # closed form to 5e-13 (judged on the whole block, it stays at up to 8e-12)
+        t = build_triple(j_fine, 1.0)
+        rng = np.random.default_rng(j_fine)
+        big = 1e10 * (t.inner @ rng.standard_normal(t.n))
+        block = np.column_stack([big, rng.standard_normal((t.n, 4))])
+        got = np.einsum("ik,ik->k", block, spd_solver(t.inner)(block))
+        assert_allclose(got, grid_dual_norms_sq(block, 1.0), rtol=5e-13, atol=0.0)
+
+
+class TestLargestPrincipalAngle:
+    @staticmethod
+    def bases(theta, n=12, k=3, seed=0):
+        """Orthonormal A, B of dimension k whose principal angles are theta * (1, 1/2, 1/4)."""
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        angles = theta * np.array([1.0, 0.5, 0.25])[:k]
+        return q[:, :k], q[:, :k] * np.cos(angles) + q[:, k : 2 * k] * np.sin(angles)
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1.2])
+    def test_matches_scipy_subspace_angles(self, theta):
+        a, b = self.bases(theta)
+        angle = largest_principal_angle(a, b)
+        assert abs(angle - float(np.max(scipy.linalg.subspace_angles(a, b)))) <= 1e-12
+        assert abs(angle - theta) <= 1e-12
+
+    def test_small_angles_are_out_of_reach_of_the_arccos_route(self):
+        a, b = self.bases(1e-9)
+        arccos_route = float(np.arccos(min(1.0, np.linalg.svd(a.T @ b, compute_uv=False).min())))
+        assert abs(arccos_route - 1e-9) > 1e-12
+        assert abs(largest_principal_angle(a, b) - 1e-9) <= 1e-12
+
+    def test_unequal_and_empty_spans(self):
+        a, b = self.bases(0.1)
+        assert largest_principal_angle(a, b[:, :2]) == pytest.approx(np.pi / 2)
+        assert largest_principal_angle(a[:, :0], b[:, :0]) == 0.0
 
 
 class TestGeneralizedEigs:

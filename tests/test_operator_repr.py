@@ -248,6 +248,20 @@ class TestGramIdentity:
         with pytest.raises(SingularOperator):
             gram_identity_check(f1, op)
 
+    @pytest.mark.parametrize("tiny", [1e-16, 1e-15])
+    def test_numerically_singular_operator_rejected(self, tiny):
+        # sigma_min <= 1e-14 sigma_max counts as singular, not only an exact zero
+        f1 = fixture_f1()
+        op = make_operator(f1.triple, np.diag([1.0, tiny]))
+        with pytest.raises(SingularOperator):
+            inverse_representation(f1, op)
+
+    def test_operator_just_above_the_singular_cutoff_is_inverted(self):
+        f1 = fixture_f1()
+        op = make_operator(f1.triple, np.diag([1.0, 1e-13]))
+        m_inv = inverse_representation(f1, op)
+        assert np.all(np.isfinite(m_inv))
+
 
 class TestPseudoInverseIdentity:
     def test_riesz_basis_plain_inverse(self):
