@@ -76,6 +76,7 @@ from .operator_repr import (
     operator_from_matrix,
     poisson_operator,
     pseudo_inverse_identity_check,
+    representation_identities,
 )
 from .spaces import (
     DiscreteGelfandTriple,
@@ -85,8 +86,6 @@ from .spaces import (
     dual_norm,
     pairing,
     primal_norm,
-    riesz_image,
-    riesz_preimage,
     synthetic_triple,
 )
 

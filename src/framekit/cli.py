@@ -53,18 +53,13 @@ from .multiscale import (
 )
 from .numerics import RANK_RTOL
 from .operator_repr import (
-    composition_check,
     direct_solution,
     galerkin_solve,
-    gram_identity_check,
-    inverse_representation,
     make_operator,
     manufactured_sine_load,
     manufactured_sine_solution,
-    matrix_representation,
-    operator_from_matrix,
     poisson_operator,
-    pseudo_inverse_identity_check,
+    representation_identities,
 )
 from .spaces import DualVector, PrimalVector, build_triple, primal_norm, stiffness_condition_number
 
@@ -144,6 +139,13 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _refuse_set(cfg: RunConfig, names, mode: str = "") -> None:
+    """Refuse each field in ``names`` that ``cfg`` moves off its default: ``mode`` leaves it unread."""
+    flags = [f.metadata["flag"] for f in fields(cfg) if f.name in names and getattr(cfg, f.name) != f.default]
+    if flags:
+        raise UsageError(f"{cfg.command}{mode} does not read {', '.join(flags)}")
+
+
 def _single_depth(cfg: RunConfig, default):
     """The one hierarchy depth a command runs at; a range is a usage error."""
     if len(cfg.j_levels) > 1:
@@ -186,6 +188,7 @@ def _random_suite(cfg: RunConfig, rng):
 
 def _cmd_dual(cfg: RunConfig, rng):
     if cfg.fixture:
+        _refuse_set(cfg, ("samples",), " on a fixture")
         frames = [fixtures.by_name(cfg.fixture)]
     else:
         frames = list(_random_suite(cfg, rng))
@@ -257,15 +260,13 @@ def _projector_residuals(frame, rng):
 
 def _cmd_gramian(cfg: RunConfig, rng):
     j = _single_depth(cfg, None)
-    if cfg.fixture:
-        frame = fixtures.by_name(cfg.fixture)
-        source = cfg.fixture.upper()
-    elif j is not None:
+    if cfg.fixture or j is None:  # a fixture frame, F1 by default
+        _refuse_set(cfg, ("j_levels", "q"), " on a fixture")
+        source = (cfg.fixture or "F1").upper()
+        frame = fixtures.by_name(source)
+    else:
         frame = bpx_frame(build_hierarchy(j), cfg.q)
         source = f"bpx(J={j}, q={cfg.q})"
-    else:
-        frame = fixtures.by_name("F1")
-        source = "F1"
     res = _projector_residuals(frame, rng)
     results = {"frame": source, **res}
     checks = [_check(name, value <= 1e-10, value, 1e-10) for name, value in res.items()]
@@ -330,6 +331,8 @@ def _cmd_bpx(cfg: RunConfig, rng):
     levels = cfg.j_levels or tuple(range(2, 8))
     if cfg.q == 0.0 and len(levels) < 2:  # growth needs two depths to compare
         raise UsageError(f"bpx --q 0 checks growth over depths, got the single depth {levels[0]}")
+    if cfg.q <= 0.0:  # only a positive q checks the ratio cap
+        _refuse_set(cfg, ("max_ratio",), f" at --q {cfg.q:g}")
     # each depth's hierarchy is built once, up front: a depth past the cap fails before any bounds
     hierarchies = [build_hierarchy(j) for j in levels]
 
@@ -406,33 +409,6 @@ def _cmd_solve_poisson(cfg: RunConfig, rng):
     return results, checks
 
 
-def _identity_block(frame, op):
-    m = matrix_representation(frame, frame, op)
-    sym = float(np.abs(m - m.T).max()) / max(float(np.abs(m).max()), 1e-300)
-    ritz_min = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
-    gram = gram_identity_check(frame, op)
-    comp = composition_check(frame, frame, op, op)
-    pinv_res = pseudo_inverse_identity_check(frame, op)
-    m_inv = inverse_representation(frame, op)
-    rec_inv = operator_from_matrix(frame, frame, m_inv).matrix
-    l_inv = np.linalg.inv(op.matrix)
-    rec_inv_res = float(np.linalg.norm(rec_inv - l_inv) / np.linalg.norm(l_inv))
-    dual = dual_frame(frame)
-    rec_fwd = operator_from_matrix(dual, dual, m).matrix
-    rec_fwd_res = float(np.linalg.norm(rec_fwd - op.matrix) / np.linalg.norm(op.matrix))
-    return {
-        "symmetry": sym,
-        "ritz_min": ritz_min,
-        "gram_left": gram.left_residual,
-        "gram_right": gram.right_residual,
-        "kernel_angle": gram.kernel_angle,
-        "composition": comp,
-        "pseudo_inverse": pinv_res,
-        "reconstruct_inverse": rec_inv_res,
-        "reconstruct_forward": rec_fwd_res,
-    }
-
-
 def _cmd_identities(cfg: RunConfig, rng):
     j_max = _single_depth(cfg, 3)
     f1 = fixtures.fixture_f1()
@@ -447,7 +423,7 @@ def _cmd_identities(cfg: RunConfig, rng):
     results = {}
     checks = []
     for name, frame, op in instances:
-        block = _identity_block(frame, op)
+        block = representation_identities(frame, op)
         results[name] = block
         for key, value in block.items():
             if key == "ritz_min":
@@ -575,15 +551,12 @@ def run(config: RunConfig) -> int:
     if config.command not in _SUBCOMMANDS:
         raise UsageError(f"unknown command {config.command!r}")
     row = _SUBCOMMANDS[config.command]
-    ignored = []
-    for f in (f for f in fields(config) if f.metadata):  # every option, before any work
+    options = [f for f in fields(config) if f.metadata]
+    for f in options:  # every option, before any work
         (test, wording), value = f.metadata["valid"], getattr(config, f.name)
         if not test(value):
             raise UsageError(f"{f.metadata['flag']} must be {wording}, got {value!r}")
-        if f.name not in row.options and value != f.default:
-            ignored.append(f.metadata["flag"])
-    if ignored:
-        raise UsageError(f"{config.command} does not read {', '.join(ignored)}")
+    _refuse_set(config, [f.name for f in options if f.name not in row.options])
     if config.output:  # checked, not opened: a file opened now would stay empty after a failed run
         # an existing file, such as /dev/null, needs no writable directory; a new file does
         target = config.output if os.path.exists(config.output) else os.path.dirname(config.output) or "."

@@ -16,7 +16,9 @@ otherwise.  Analysis, synthesis, E E^T and the minimal-norm coefficients
 run on that form; for a CSR frame the minimal-norm coefficients come
 from zero-start CG on E^T H E, with no factorization.  The dense
 ``elements`` of a CSR frame are built only for the dense consumers
-(frame bounds, dual frames, Gramians).
+(frame bounds, dual frames, Gramians).  A collection caches what it
+derives on first use: the dense view, the singular values, E E^T with its
+solver, and the canonical dual, which all of the dual's consumers share.
 """
 
 from __future__ import annotations
@@ -245,14 +247,14 @@ def dual_frame(spec: AnySpec) -> AnySpec:
 
     For a primal frame the dual columns are the actions solving
     (E E^T) x = psi_k; the dual of a canonical dual returns the original
-    frame.  Raises NotAFrame when the collection does not span.
+    frame.  Built once and cached: every call returns the same read-only
+    collection.  Raises NotAFrame when the collection does not span.
     """
     _require_spans(spec)
-    solver = _frame_operator_solver(spec)
-    dual_elements = solver(spec.elements)
-    if isinstance(spec, FrameSpec):
-        return DualFrameSpec(spec.triple, dual_elements)
-    return FrameSpec(spec.triple, dual_elements)
+    if "dual" not in spec._cache:
+        kind = DualFrameSpec if isinstance(spec, FrameSpec) else FrameSpec
+        spec._cache["dual"] = kind(spec.triple, _frame_operator_solver(spec)(spec.elements))
+    return spec._cache["dual"]
 
 
 def reconstruct_primal(frame: FrameSpec, dual: DualFrameSpec, f: PrimalVector) -> PrimalVector:

@@ -12,6 +12,8 @@ and the operator's stored form.  The Poisson operator stores the grid
 stiffness as a ``Tridiagonal``, so its products are O(n), its direct
 solve is banded and its dense matrix is built only for the dense
 consumers (matrix identities, direct solves, measured constants).
+``representation_identities`` checks every identity between M(O), the
+dual-frame matrix of O^-1 and the cross-Gramians, forming each once.
 """
 
 from __future__ import annotations
@@ -251,37 +253,59 @@ class GramIdentityReport:
     kernel_angle: float    # largest principal angle between ker M(O^-1)_dual and ker D_Psi
 
 
+def representation_identities(f: FrameSpec, op: OperatorSpec) -> dict[str, float]:
+    """Residuals of every representation identity of O in the frame f, each matrix formed once.
+
+    In order: the symmetry and smallest Ritz value of M(O); both Gram
+    products with M(O^-1)_dual against G and the kernel angle (as in
+    GramIdentityReport); the composition rule; pinv(M(O)) against
+    M(O^-1)_dual on the range of G; O^-1 and O rebuilt from their matrices.
+    """
+    m = matrix_representation(f, f, op)
+    composition = composition_check(f, f, op, op)  # its K x K arrays come and go before the others exist
+    m_inv = inverse_representation(f, op)
+    dual = dual_frame(f)
+    g = cross_gramian(dual, f)
+    gn = max(float(np.linalg.norm(g)), 1e-300)
+    values = {
+        "symmetry": float(np.abs(m - m.T).max()) / max(float(np.abs(m).max()), 1e-300),
+        "ritz_min": float(np.linalg.eigvalsh(0.5 * (m + m.T))[0]),
+        "gram_left": float(np.linalg.norm(m_inv @ m - g)) / gn,
+        "gram_right": float(np.linalg.norm(m @ m_inv - g)) / gn,
+        "kernel_angle": largest_principal_angle(null_space(m_inv), null_space(f.elements)),
+        "composition": composition,
+    }
+    del g  # free G before the pseudo-inverse's SVD, the stage with the most K x K arrays alive
+    p = cross_gramian(f, dual)  # the projector onto the analysis range
+    lhs = p @ pseudo_inverse(m) @ p
+    rhs = p @ m_inv @ p
+    values["pseudo_inverse"] = float(np.linalg.norm(lhs - rhs)) / max(float(np.linalg.norm(rhs)), 1e-300)
+    l_inv = np.linalg.inv(op.matrix)
+    rec_inv = operator_from_matrix(f, f, m_inv).matrix
+    values["reconstruct_inverse"] = float(np.linalg.norm(rec_inv - l_inv) / np.linalg.norm(l_inv))
+    rec_fwd = operator_from_matrix(dual, dual, m).matrix
+    values["reconstruct_forward"] = float(np.linalg.norm(rec_fwd - op.matrix) / np.linalg.norm(op.matrix))
+    return values
+
+
 def gram_identity_check(f: FrameSpec, op: OperatorSpec) -> GramIdentityReport:
-    """Check that the inverse's dual matrix undoes the primal matrix.
+    """The Gram-product and kernel residuals of ``representation_identities``.
 
     Both orderings of the product must reproduce the cross-Gramian of the
     dual pair, and the kernel of the dual-represented operator must equal
     the synthesis kernel.
     """
-    m = matrix_representation(f, f, op)
-    m_inv = inverse_representation(f, op)
-    g = cross_gramian(dual_frame(f), f)
-    gn = max(float(np.linalg.norm(g)), 1e-300)
-    left = float(np.linalg.norm(m_inv @ m - g)) / gn
-    right = float(np.linalg.norm(m @ m_inv - g)) / gn
-    angle = largest_principal_angle(null_space(m_inv), null_space(f.elements))
-    return GramIdentityReport(left_residual=left, right_residual=right, kernel_angle=angle)
+    r = representation_identities(f, op)
+    return GramIdentityReport(r["gram_left"], r["gram_right"], r["kernel_angle"])
 
 
 def pseudo_inverse_identity_check(f: FrameSpec, op: OperatorSpec) -> float:
-    """Residual of pinv(M(O)) == dual matrix of O^-1, compared on the range.
+    """Residual of pinv(M(O)) == dual matrix of O^-1, from ``representation_identities``.
 
     Both sides are projected by the cross-Gramian projector before the
     comparison so that noise in the numerical kernel cannot contribute.
     """
-    m = matrix_representation(f, f, op)
-    p = pseudo_inverse(m)
-    m_inv = inverse_representation(f, op)
-    g = cross_gramian(f, dual_frame(f))
-    lhs = g @ p @ g
-    rhs = g @ m_inv @ g
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    return float(np.linalg.norm(lhs - rhs)) / scale
+    return representation_identities(f, op)["pseudo_inverse"]
 
 
 @dataclass(frozen=True, eq=False)

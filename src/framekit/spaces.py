@@ -3,9 +3,8 @@
 The fine grid carries the interior hat basis b_1..b_N with homogeneous
 Dirichlet ends.  Primal elements are stored by coefficients in that basis,
 dual elements by their action <f, b_i> on it.  The two representations are
-deliberately never interconverted by the core algorithms: converting
-requires the H^q Riesz map, which this module exposes only as a test
-oracle (riesz_image / riesz_preimage).
+deliberately never interconverted: converting requires the H^q Riesz
+map, which the library does not provide (the tests keep it as an oracle).
 
 Grid triples are diagonalized in closed form: the hat mass and stiffness
 matrices are tridiagonal Toeplitz, so the discrete sine transform is the
@@ -301,19 +300,3 @@ def pairing(g: DualVector, f: PrimalVector) -> float:
     if len(g) != len(f):
         raise DimensionMismatch(f"sizes differ: {len(g)} vs {len(f)}")
     return float(g.action @ f.coeffs)
-
-
-def riesz_image(t: DiscreteGelfandTriple, f: PrimalVector) -> DualVector:
-    """TEST ORACLE ONLY: the H-Riesz image of a primal element.
-
-    Core algorithms must not call this; it exists so tests can contrast
-    the identification-free calculus with the identified one.
-    """
-    c = _check_primal(t, f)
-    return DualVector(t.inner @ c)
-
-
-def riesz_preimage(t: DiscreteGelfandTriple, g: DualVector) -> PrimalVector:
-    """TEST ORACLE ONLY: inverse of riesz_image."""
-    a = _check_dual(t, g)
-    return PrimalVector(t.inner_solve(a))

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import framekit.cli as cli
+from framekit import operator_repr
 from framekit.cli import (
     COMMANDS,
     CSV_COMMANDS,
@@ -175,6 +176,28 @@ class TestParsing:
         out = tmp_path / "report.json"
         assert main([command, "--J", "2..7", "--output", str(out)]) == 1
         assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            bad_input(["gramian", "--fixture", "F1", "--J", "5"], command="gramian", fixture="F1", j_levels=(5,)),
+            bad_input(["gramian", "--q", "0.5"], command="gramian", q=0.5),
+            bad_input(["gramian", "--fixture", "F1", "--q", "0.5"], command="gramian", fixture="F1", q=0.5),
+            bad_input(["dual", "--fixture", "F3", "--samples", "5"], command="dual", fixture="F3", samples=5),
+            bad_input(["bpx", "--q", "0", "--J", "2..4", "--max-ratio", "1"],
+                      command="bpx", q=0.0, j_levels=(2, 3, 4), max_ratio=1.0),
+        ],
+    )
+    def test_an_option_the_mode_does_not_read_is_usage_error(self, tmp_path, monkeypatch, argv, config):
+        # the report's params would claim a value that no computation used
+        work = []
+        monkeypatch.setattr(cli, "build_hierarchy", lambda j: work.append(j))
+        monkeypatch.setattr(cli.fixtures, "by_name", lambda name: work.append(name))
+        out = tmp_path / "report.json"
+        assert main(argv + ["--output", str(out)]) == 1
+        with pytest.raises(UsageError, match="does not read"):
+            run(RunConfig(**config, output=str(out)))
+        assert work == [] and not out.exists()
 
     def test_bpx_checks_every_depth_before_any_bounds(self, monkeypatch):
         bounded = []
@@ -433,6 +456,14 @@ class TestReports:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["command"] == "bounds"
+
+    def test_identities_forms_each_inverse_representation_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = operator_repr.inverse_representation
+        monkeypatch.setattr(operator_repr, "inverse_representation", lambda f, op: calls.append(f) or real(f, op))
+        code, payload = run_to_file(tmp_path, ["identities", "--J", "5"])
+        assert code == 0
+        assert len(calls) == len(json.loads(payload)["results"]) == 3
 
     def test_solve_poisson_results(self, tmp_path):
         _, payload = run_to_file(tmp_path, ["solve-poisson", "--J", "4", "--tol", "1e-8"])

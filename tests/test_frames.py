@@ -241,6 +241,13 @@ class TestDualFrame:
         resid = np.linalg.norm(s_dual @ s - np.eye(spec.n))
         assert resid <= 1e-10 * np.linalg.norm(s)
 
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_the_dual_is_built_once(self, kind):
+        spec = fixture_f3() if kind == "dense" else bpx_frame(build_hierarchy(3), 1.0)
+        dual = dual_frame(spec)
+        assert dual_frame(spec) is dual
+        assert not dual.elements.flags.writeable
+
     def test_range_equality_principal_angles(self):
         triple = build_triple(3, 1.0)
         rng = np.random.default_rng(6)

@@ -34,6 +34,7 @@ from framekit.operator_repr import (
     operator_from_matrix,
     poisson_operator,
     pseudo_inverse_identity_check,
+    representation_identities,
 )
 from framekit.spaces import (
     DualVector,
@@ -245,22 +246,40 @@ class TestGramIdentity:
     def test_singular_operator_rejected(self):
         f1 = fixture_f1()
         op = make_operator(f1.triple, np.diag([1.0, 0.0]))
-        with pytest.raises(SingularOperator):
-            gram_identity_check(f1, op)
+        for check in (gram_identity_check, pseudo_inverse_identity_check, representation_identities):
+            with pytest.raises(SingularOperator):
+                check(f1, op)
 
     @pytest.mark.parametrize("tiny", [1e-16, 1e-15])
     def test_numerically_singular_operator_rejected(self, tiny):
         # sigma_min <= 1e-14 sigma_max counts as singular, not only an exact zero
         f1 = fixture_f1()
         op = make_operator(f1.triple, np.diag([1.0, tiny]))
-        with pytest.raises(SingularOperator):
-            inverse_representation(f1, op)
+        for check in (inverse_representation, representation_identities):
+            with pytest.raises(SingularOperator):
+                check(f1, op)
 
     def test_operator_just_above_the_singular_cutoff_is_inverted(self):
         f1 = fixture_f1()
         op = make_operator(f1.triple, np.diag([1.0, 1e-13]))
         m_inv = inverse_representation(f1, op)
         assert np.all(np.isfinite(m_inv))
+
+
+class TestRepresentationIdentities:
+    def test_the_single_checks_read_its_values(self):
+        frame, op, _ = bpx_setup(3)
+        values = representation_identities(frame, op)
+        assert list(values) == [
+            "symmetry", "ritz_min", "gram_left", "gram_right", "kernel_angle",
+            "composition", "pseudo_inverse", "reconstruct_inverse", "reconstruct_forward",
+        ]
+        gram = gram_identity_check(frame, op)
+        assert (gram.left_residual, gram.right_residual, gram.kernel_angle) == (
+            values["gram_left"], values["gram_right"], values["kernel_angle"]
+        )
+        assert pseudo_inverse_identity_check(frame, op) == values["pseudo_inverse"]
+        assert values["composition"] == composition_check(frame, frame, op, op)
 
 
 class TestPseudoInverseIdentity:

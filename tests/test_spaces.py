@@ -15,11 +15,23 @@ from framekit.spaces import (
     grid_spectrum,
     pairing,
     primal_norm,
-    riesz_image,
-    riesz_preimage,
     spectral_inner_matrix,
     synthetic_triple,
 )
+
+
+def riesz_image(t, f: PrimalVector) -> DualVector:
+    """TEST ORACLE: the H-Riesz image of a primal element, the action inner @ c.
+
+    The library never identifies H with H'; the tests use this map to
+    contrast the identification-free calculus with the identified one.
+    """
+    return DualVector(t.inner @ spaces._check_primal(t, f))
+
+
+def riesz_preimage(t, g: DualVector) -> PrimalVector:
+    """TEST ORACLE: inverse of riesz_image."""
+    return PrimalVector(t.inner_solve(spaces._check_dual(t, g)))
 
 
 def hat_value(x, center, width):
