@@ -5,11 +5,12 @@ dense symmetric array; ``Tridiagonal`` is a symmetric tridiagonal
 Toeplitz matrix stored by its two values, whose products and banded
 Cholesky factor cost O(n) and whose dense view is built only when a
 dense consumer asks for it.  Each applies with ``@`` in its stored form.
-``spd_solver`` factors either (banded Cholesky, refined, or dense
-Cholesky), and ``cg_solve`` takes the operator as a callable, so it serves
-the sparse layers above: the minimal-norm coefficients of CSR frames
-(frames) and the matrix-free frame-Galerkin action on the multilevel
-frame's CSR columns (operator_repr).  The eigen- and SVD kernels stay
+``spd_solver`` factors either (banded Cholesky, refined once per solve to
+the residuals it lists, or dense Cholesky), and ``cg_solve`` takes the
+operator as a callable, so it serves the sparse layers above: the
+minimal-norm coefficients of CSR frames (frames) and the matrix-free
+frame-Galerkin action on the multilevel frame's CSR columns
+(operator_repr).  The eigen- and SVD kernels stay
 dense: problem sizes stay at desk scale, and transparent kernels are
 easier to cross-check.  A grid triple's own (inner, mass) pencil is
 closed-form (``spaces.grid_spectrum``); these kernels solve it only as
@@ -24,7 +25,8 @@ library).  numpy has no triangular solve, so the dense ``spd_solver`` keeps
 the inverse Cholesky factor, unrefined: at the rounding floor a refinement
 step swaps the factor's error, common to all columns, for per-column noise
 amplified by the condition number, which broke the reconstruction identities
-of ill-conditioned frames.  scipy keeps the banded Cholesky and pencil ``eigh``.
+of ill-conditioned frames.  Its relative residual grows like eps * cond(A)
+(1e-7 at cond 1e10, random b).  scipy keeps the banded Cholesky and ``eigh``.
 """
 
 from __future__ import annotations
@@ -136,13 +138,6 @@ class Tridiagonal:
         y[:-1] += self.off * x[1:]
         return y
 
-    def banded_lower(self) -> np.ndarray:
-        """The lower band in LAPACK's layout: row 0 the diagonal, row 1 the subdiagonal."""
-        ab = np.zeros((2, self.n))
-        ab[0] = self.diag
-        ab[1, :-1] = self.off
-        return ab
-
 
 @dataclass(frozen=True, eq=False)
 class PencilSpectrum:
@@ -193,41 +188,28 @@ def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
 
     A dense matrix is factored A = L L^T by numpy; the closure keeps L^-1,
     and a solve is the two products L^-T (L^-1 b), unrefined (see the module
-    docstring).  A Tridiagonal is factored banded (O(n)), and each solve
-    applies up to four steps of iterative refinement, each column of a block
-    judged on its own residual, which pushes every column's relative residual
-    to ~1e-13 even for the stiffest grids.  Raises NotPositiveDefinite when
-    a pivot fails.
+    docstring).  A Tridiagonal is factored banded (O(n)); a solve x = A^-1 b
+    takes one fixed-precision refinement step x + A^-1 (b - A x), which is
+    componentwise backward stable (Skeel 1980), and a block solve equals its
+    column solves bit for bit.  Relative residuals on the stiffness matrix
+    grow with the grid: 1.2e-11, 7.4e-10 and 3.0e-9 at j_fine = 10, 13, 14
+    for b_i = sin(pi x_i); on the mass matrix about 1e-16.  Raises
+    NotPositiveDefinite when a pivot fails.
     """
     try:
         if not isinstance(a, Tridiagonal):
             li = np.linalg.inv(np.linalg.cholesky(as_dense(a)))
             return lambda rhs: li.T @ (li @ np.asarray(rhs, dtype=float))
-        band = scipy.linalg.cholesky_banded(a.banded_lower(), lower=True, check_finite=False)
+        ab = np.full((2, a.n), [[a.diag], [a.off]], dtype=float)  # LAPACK's lower band
+        ab[1, -1] = 0.0
+        factor = (scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False), True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NotPositiveDefinite(str(exc)) from None
 
-    def direct(b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve_banded((band, True), b, check_finite=False)
-
     def solve(rhs: np.ndarray) -> np.ndarray:
         b = np.asarray(rhs, dtype=float)
-        goal = 1e-13 * np.linalg.norm(b, axis=0)  # per column of a block
-        x = direct(b)
-        r = b - a @ x
-        best_x, best_r = x, np.linalg.norm(r, axis=0)
-        live = best_r > goal
-        for _ in range(4):
-            if not np.any(live):
-                break
-            x = x + direct(r)
-            r = b - a @ x
-            res = np.linalg.norm(r, axis=0)
-            best_x = np.where(res < best_r, x, best_x)
-            # a column stops once it meets the goal or stagnates at the precision floor
-            live &= (res > goal) & (res < 0.5 * best_r)
-            best_r = np.minimum(res, best_r)
-        return best_x
+        x = scipy.linalg.cho_solve_banded(factor, b, check_finite=False)
+        return x + scipy.linalg.cho_solve_banded(factor, b - a @ x, check_finite=False)
 
     return solve
 
@@ -236,7 +218,7 @@ def solve_spd(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
     Accepts a vector or a matrix right-hand side; a Tridiagonal is solved
-    banded; the residual is as ``spd_solver`` describes.
+    banded and refined once, a dense matrix unrefined (see ``spd_solver``).
     """
     mat = a if isinstance(a, Tridiagonal) else as_dense(a)
     rhs = np.asarray(b, dtype=float)

@@ -153,6 +153,19 @@ class TestBandedRefinement:
         got = np.einsum("ik,ik->k", block, spd_solver(t.inner)(block))
         assert_allclose(got, grid_dual_norms_sq(block, 1.0), rtol=5e-13, atol=0.0)
 
+    @pytest.mark.parametrize("j_fine", [10, 12, 13])
+    @pytest.mark.parametrize("which", ["stiffness", "mass"])
+    def test_a_block_solve_equals_its_column_solves(self, which, j_fine):
+        # a column's answer must not depend on the other columns of its block
+        t = build_triple(j_fine, 1.0)
+        m = t.inner if which == "stiffness" else t.mass
+        rng = np.random.default_rng(j_fine)
+        sine = np.sin(np.pi * np.arange(1, t.n + 1) / (t.n + 1))
+        block = np.column_stack([1e10 * (m @ rng.standard_normal(t.n)), rng.standard_normal((t.n, 4)), sine])
+        solve = spd_solver(m)
+        columns = np.column_stack([solve(col) for col in block.T])
+        assert np.array_equal(solve(block), columns)
+
 
 class TestLargestPrincipalAngle:
     @staticmethod
