@@ -363,9 +363,10 @@ def _cmd_bpx(cfg: RunConfig, rng):
     kappas = [r["kappa_single"] for r in rows_data]
     growth = [b / a for a, b in zip(kappas, kappas[1:])]
     if growth:
-        ok = all(3.2 <= gr <= 4.8 for gr in growth)
+        lo, hi = _growth_band(1.0)
+        ok = all(lo <= gr <= hi for gr in growth)
         worst_growth = max(growth, key=lambda gr: abs(gr - 4.0))
-        checks.append(_check("single_level_kappa_growth", ok, worst_growth, "[3.2, 4.8]"))
+        checks.append(_check("single_level_kappa_growth", ok, worst_growth, f"[{lo}, {hi}]"))
     return results, checks
 
 

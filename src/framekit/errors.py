@@ -33,12 +33,15 @@ class DimensionMismatch(FramekitError):
     """Operands have incompatible sizes."""
 
 
-class IncompatiblePairing(FramekitError):
-    """Duality pairing requested between representations that do not pair.
+class IncompatiblePairing(FramekitError, TypeError):
+    """A vector or collection from one side of the primal/dual divide was given where the other belongs.
 
     The pairing is defined between one primal-side and one dual-side
     object; two dual-side collections cannot be paired without a Riesz
-    identification, which this library deliberately avoids.
+    identification, which this library deliberately avoids.  Every entry
+    point that takes a vector raises it for a vector of the wrong side
+    (``spaces.entries``); it is also a TypeError, since the vector has the
+    wrong type.
     """
 
 

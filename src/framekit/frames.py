@@ -38,7 +38,7 @@ from .numerics import (
     generalized_eigs,
     spd_solver,
 )
-from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector
+from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector, entries
 
 
 class _ElementCollection:
@@ -117,9 +117,15 @@ class _ElementCollection:
 class FrameSpec(_ElementCollection):
     """Collection of primal elements; column k holds the coefficients of psi_k."""
 
+    analyzes = DualVector
+    synthesizes = PrimalVector
+
 
 class DualFrameSpec(_ElementCollection):
     """Collection of dual elements; column k holds the action of psi_k."""
+
+    analyzes = PrimalVector
+    synthesizes = DualVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,25 +174,9 @@ def analysis(spec: AnySpec, vec) -> np.ndarray:
     """Analysis coefficients (<f, psi_k>)_k as an l2 vector of length k.
 
     A primal frame analyzes DualVectors, a dual frame analyzes
-    PrimalVectors; anything else does not pair.
+    PrimalVectors (``spec.analyzes``); anything else does not pair.
     """
-    if isinstance(spec, FrameSpec):
-        if not isinstance(vec, DualVector):
-            raise IncompatiblePairing(
-                f"a primal frame analyzes DualVectors, got {type(vec).__name__}"
-            )
-        data = vec.action
-    elif isinstance(spec, DualFrameSpec):
-        if not isinstance(vec, PrimalVector):
-            raise IncompatiblePairing(
-                f"a dual frame analyzes PrimalVectors, got {type(vec).__name__}"
-            )
-        data = vec.coeffs
-    else:
-        raise TypeError(f"not a frame spec: {type(spec).__name__}")
-    if data.shape[0] != spec.n:
-        raise DimensionMismatch(f"vector has size {data.shape[0]}, frame rows {spec.n}")
-    return spec.columns.T @ data
+    return spec.columns.T @ entries(vec, spec.analyzes, spec.n)
 
 
 def synthesis(spec: AnySpec, coefficients) -> Union[PrimalVector, DualVector]:
@@ -194,10 +184,7 @@ def synthesis(spec: AnySpec, coefficients) -> Union[PrimalVector, DualVector]:
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (spec.k,):
         raise DimensionMismatch(f"expected {spec.k} coefficients, got shape {c.shape}")
-    out = spec.columns @ c
-    if isinstance(spec, FrameSpec):
-        return PrimalVector(out)
-    return DualVector(out)
+    return spec.synthesizes(spec.columns @ c)
 
 
 def frame_operator_matrix(spec: AnySpec) -> np.ndarray:
@@ -293,8 +280,11 @@ def cross_gramian(fa: AnySpec, fb: AnySpec) -> np.ndarray:
 MIN_NORM_TOL = 1e-12
 
 
-def min_norm_coefficients(frame: FrameSpec, f: PrimalVector) -> np.ndarray:
+def min_norm_coefficients(frame: AnySpec, f) -> np.ndarray:
     """Coefficients <f, dual_k>: the minimal-l2-norm d with synthesis(d) = f.
+
+    f is of the kind the collection synthesizes: a PrimalVector for a
+    primal frame, a DualVector for a dual one.
 
     A frame with dense columns solves E E^T x = f by Cholesky and returns
     E^T x.  A CSR frame runs zero-start CG on E^T H E d = E^T H f, with
@@ -303,19 +293,14 @@ def min_norm_coefficients(frame: FrameSpec, f: PrimalVector) -> np.ndarray:
     iterate in range(E^T), which makes the limit the minimal-norm d.
     """
     _require_spans(frame)
-    if not isinstance(f, PrimalVector):
-        raise IncompatiblePairing(f"expected PrimalVector, got {type(f).__name__}")
-    if len(f) != frame.n:
-        raise DimensionMismatch(f"vector has size {len(f)}, frame rows {frame.n}")
+    c = entries(f, frame.synthesizes, frame.n)
     e = frame.columns
     if sp.issparse(e):
         e_t = e.T
         h = frame.triple.inner
-        rhs = e_t @ (h @ f.coeffs)
-        coeffs, _ = cg_solve(lambda d: e_t @ (h @ (e @ d)), rhs, tol=MIN_NORM_TOL)
+        coeffs, _ = cg_solve(lambda d: e_t @ (h @ (e @ d)), e_t @ (h @ c), tol=MIN_NORM_TOL)
         return coeffs
-    solver = _frame_operator_solver(frame)
-    return e.T @ solver(f.coeffs)
+    return e.T @ _frame_operator_solver(frame)(c)
 
 
 def riesz_check(frame: AnySpec) -> RieszCheck:
@@ -328,7 +313,7 @@ def riesz_check(frame: AnySpec) -> RieszCheck:
     if frame.rank < frame.k:
         return RieszCheck(is_riesz=False)
     if isinstance(frame, FrameSpec):
-        gram = frame.elements.T @ frame.triple.inner.a @ frame.elements
+        gram = cross_gramian(frame, frame)
     else:
         gram = frame.elements.T @ frame.triple.inner_solve(frame.elements)
     w = np.linalg.eigvalsh(0.5 * (gram + gram.T))

@@ -45,6 +45,7 @@ from .spaces import (
     DualVector,
     PrimalVector,
     build_triple,
+    entries,
     grid_dual_norms_sq,
     grid_hq_eigenvalues,
     grid_spectrum,
@@ -129,20 +130,15 @@ def l2_project(hy: MultiscaleHierarchy, j: int, f: PrimalVector) -> PrimalVector
     Solves the level-j mass system M_j c = E_j^T M_fine f.  Projecting a
     function already in V_j returns it (idempotence up to rounding).
     """
-    hy._check_level(j)
     fine = hy.fine_triple()
-    if len(f) != fine.n:
-        raise DimensionMismatch(f"vector has size {len(f)}, fine grid has {fine.n}")
-    rhs = hy.restriction(j) @ (fine.mass @ f.coeffs)
+    rhs = hy.restriction(j) @ (fine.mass @ entries(f, PrimalVector, fine.n))
     return PrimalVector(hy.level_triple(j).mass_solve(rhs))
 
 
 def prolong_to_fine(hy: MultiscaleHierarchy, j: int, v: PrimalVector) -> PrimalVector:
     """Exact fine-grid representation of a level-j function."""
     e = hy.embedding(j)
-    if len(v) != e.shape[1]:
-        raise DimensionMismatch(f"vector has size {len(v)}, level {j} has {e.shape[1]}")
-    return PrimalVector(e @ v.coeffs)
+    return PrimalVector(e @ entries(v, PrimalVector, e.shape[1]))
 
 
 def sample_on_fine_grid(hy: MultiscaleHierarchy, f: Callable[[np.ndarray], np.ndarray]) -> PrimalVector:
@@ -254,7 +250,7 @@ def norm_equivalence_ratios(hy: MultiscaleHierarchy, q: float, actions) -> np.nd
 
 def norm_equivalence_ratio(hy: MultiscaleHierarchy, q: float, g: DualVector) -> float:
     """``norm_equivalence_ratios`` of the single functional g."""
-    return float(norm_equivalence_ratios(hy, q, g.action[:, None])[0])
+    return float(norm_equivalence_ratios(hy, q, entries(g, DualVector, hy.dims[hy.j_max])[:, None])[0])
 
 
 def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:

@@ -321,29 +321,20 @@ def cg_solve(
 
 
 def min_norm_solve(a, b) -> np.ndarray:
-    """Minimal-l2-norm solution of a consistent system A x = b via SVD.
+    """Minimal-l2-norm solution pinv(A) b of a consistent system A x = b (see ``pseudo_inverse``).
 
-    Singular values below sigma_max * 1e-12 are treated as zero.  Serves
-    as the pseudo-inverse oracle for the rest of the library.  Raises
-    Inconsistent when the post-solve residual exceeds 1e-8 * ||b||.
+    Serves as the pseudo-inverse oracle for the rest of the library.
+    Raises Inconsistent when the post-solve residual exceeds 1e-8 * ||b||.
     """
     mat = np.atleast_2d(np.asarray(a, dtype=float))
     rhs = np.asarray(b, dtype=float)
     if mat.shape[0] != rhs.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {mat.shape[0]} rows, rhs has size {rhs.shape[0]}"
-        )
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        keep = s > s[0] * PINV_CUTOFF
-        x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
-    else:
-        x = np.zeros(mat.shape[1])
+        raise DimensionMismatch(f"matrix has {mat.shape[0]} rows, rhs has size {rhs.shape[0]}")
+    x = pseudo_inverse(mat) @ rhs
     nb = float(np.linalg.norm(rhs))
-    if nb > 0.0 and float(np.linalg.norm(mat @ x - rhs)) > 1e-8 * nb:
-        raise Inconsistent(
-            f"rhs not in range: residual {np.linalg.norm(mat @ x - rhs):.3e} vs ||b|| {nb:.3e}"
-        )
+    residual = float(np.linalg.norm(mat @ x - rhs))
+    if nb > 0.0 and residual > 1e-8 * nb:
+        raise Inconsistent(f"rhs not in range: residual {residual:.3e} vs ||b|| {nb:.3e}")
     return x
 
 

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotAFrame, SingularOperator
+from .errors import DimensionMismatch, DomainError, IncompatiblePairing, NotAFrame, SingularOperator
 from .frames import (
     AnySpec,
     FrameSpec,
@@ -46,7 +46,7 @@ from .numerics import (
     pseudo_inverse,
     solve_spd,
 )
-from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector, stiffness_condition_number
+from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector, entries, stiffness_condition_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +74,7 @@ class OperatorSpec:
         return as_dense(self.form)
 
     def apply(self, f: PrimalVector) -> DualVector:
-        if len(f) != self.triple.n:
-            raise DimensionMismatch(f"vector has size {len(f)}, operator has {self.triple.n}")
-        return DualVector(self.form @ f.coeffs)
+        return DualVector(self.form @ entries(f, PrimalVector, self.triple.n))
 
 
 def make_operator(triple: DiscreteGelfandTriple, matrix) -> OperatorSpec:
@@ -150,7 +148,7 @@ def matrix_representation(
     matrices; the operator norm of M is at most sqrt(B_Phi B_Psi) ||O||.
     """
     if not isinstance(f_test, FrameSpec) or not isinstance(f_ansatz, FrameSpec):
-        raise TypeError("matrix_representation pairs two primal frames around O : H -> H'")
+        raise IncompatiblePairing("matrix_representation pairs two primal frames around O : H -> H'")
     if f_test.n != op.triple.n or f_ansatz.n != op.triple.n:
         raise DimensionMismatch("frames and operator live on different dimensions")
     return f_test.elements.T @ (op.matrix @ f_ansatz.elements)
@@ -178,24 +176,16 @@ class RepresentedOperator:
     The analysis side fixes the input representation (a primal frame
     analyzes dual actions, a dual frame analyzes primal coefficients),
     the synthesis side fixes the output; ``matrix`` maps input
-    representation to output representation.
+    representation to output representation.  ``input_kind`` and
+    ``output_kind`` are the vector types, PrimalVector or DualVector.
     """
 
     matrix: np.ndarray
-    input_kind: str  # "dual" or "primal"
-    output_kind: str
+    input_kind: type
+    output_kind: type
 
     def __call__(self, vec):
-        if self.input_kind == "dual":
-            if not isinstance(vec, DualVector):
-                raise TypeError(f"expected DualVector, got {type(vec).__name__}")
-            data = vec.action
-        else:
-            if not isinstance(vec, PrimalVector):
-                raise TypeError(f"expected PrimalVector, got {type(vec).__name__}")
-            data = vec.coeffs
-        out = self.matrix @ data
-        return PrimalVector(out) if self.output_kind == "primal" else DualVector(out)
+        return self.output_kind(self.matrix @ entries(vec, self.input_kind, self.matrix.shape[1]))
 
 
 def operator_from_matrix(f_syn: AnySpec, f_ana: AnySpec, m) -> RepresentedOperator:
@@ -211,11 +201,7 @@ def operator_from_matrix(f_syn: AnySpec, f_ana: AnySpec, m) -> RepresentedOperat
             f"matrix shape {mat.shape} does not match frame sizes ({f_syn.k}, {f_ana.k})"
         )
     full = f_syn.elements @ (mat @ f_ana.elements.T)
-    return RepresentedOperator(
-        matrix=full,
-        input_kind="dual" if isinstance(f_ana, FrameSpec) else "primal",
-        output_kind="primal" if isinstance(f_syn, FrameSpec) else "dual",
-    )
+    return RepresentedOperator(matrix=full, input_kind=f_ana.analyzes, output_kind=f_syn.synthesizes)
 
 
 def composition_check(
@@ -237,7 +223,7 @@ def composition_check(
     t_matrix = s_xi @ op_inner.matrix  # primal coeffs -> primal coeffs
     lhs = f.elements.T @ (op_outer.matrix @ (t_matrix @ f.elements))
     xi_dual = dual_frame(xi)
-    m_outer = f.elements.T @ (op_outer.matrix @ xi.elements)
+    m_outer = matrix_representation(f, xi, op_outer)
     m_inner = xi_dual.elements.T @ (t_matrix @ f.elements)
     rhs = m_outer @ m_inner
     scale = max(float(np.linalg.norm(lhs)), 1e-300)
@@ -442,4 +428,4 @@ def direct_solution(op: OperatorSpec, b: DualVector) -> PrimalVector:
     """
     if not (op.symmetric and op.elliptic):
         raise DomainError("direct_solution requires a symmetric elliptic operator")
-    return PrimalVector(solve_spd(op.form, b.action))
+    return PrimalVector(solve_spd(op.form, entries(b, DualVector, op.triple.n)))

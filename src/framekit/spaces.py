@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, IncompatiblePairing
 from .numerics import (
     PencilSpectrum,
     SymMatrix,
@@ -143,7 +143,8 @@ def sine_congruence(d) -> np.ndarray:
     matrix of size n.  The product is Toeplitz minus Hankel: entry (i, j),
     1-based, is c[|i - j|] - c[i + j] with
     c[m] = 1/(n+1) sum_k d_k cos(m k pi/(n+1)), one DCT-I of d, taken as
-    the real FFT of its even extension.  O(n^2) to fill.
+    the real FFT of its even extension.  Both parts are read-only sliding
+    windows over c, so the O(n^2) fill allocates only the result.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
@@ -152,9 +153,8 @@ def sine_congruence(d) -> np.ndarray:
     ext[n + 2 :] = d[::-1]
     head = np.fft.rfft(ext).real / (2 * (n + 1))  # c[0..n+1]
     c = np.concatenate((head, head[-2:0:-1]))  # c[m] = c[2(n+1) - m]
-    out = scipy.linalg.toeplitz(c[:n])
-    out -= scipy.linalg.hankel(c[2 : n + 2], c[n + 1 : 2 * n + 1])
-    return out
+    toeplitz = sliding_window_view(np.concatenate((c[n - 1 : 0 : -1], c[:n])), n)[::-1]  # c[|i - j|]
+    return toeplitz - sliding_window_view(c[2 : 2 * n + 1], n)  # minus c[i + j], 1-based
 
 
 def _grid_pencil(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +204,8 @@ def stiffness_condition_number(n: int) -> float:
 
 
 # A fractional-q triple holds its H^q Gram matrix as a dense n x n float64
-# array; filling it peaks at about 2 such arrays (the Toeplitz part plus
-# the Hankel temporary, measured with tracemalloc at j_fine = 11).  The
+# array; building it peaks at about 2 such arrays (the fill allocates one,
+# and ``SymMatrix`` stores a copy of it; measured with tracemalloc).  The
 # guard counts 5 to leave room for the dense consumers of the Gram matrix
 # (the generic ``frames.frame_bounds`` forms inner * E E^T * inner and
 # solves its pencil; dual frames and Gramians multiply by it); with 2,
@@ -259,25 +259,25 @@ def synthetic_triple(inner) -> DiscreteGelfandTriple:
     return DiscreteGelfandTriple(n=inner_m.n, mass=SymMatrix(np.eye(inner_m.n)), inner=inner_m)
 
 
-def _check_primal(t: DiscreteGelfandTriple, f: PrimalVector) -> np.ndarray:
-    if not isinstance(f, PrimalVector):
-        raise TypeError(f"expected PrimalVector, got {type(f).__name__}")
-    if len(f) != t.n:
-        raise DimensionMismatch(f"vector has size {len(f)}, triple has {t.n}")
-    return f.coeffs
+def entries(vec, kind: type, n: int) -> np.ndarray:
+    """The stored values of a ``kind`` vector of size n: a PrimalVector's coeffs, a DualVector's action.
 
-
-def _check_dual(t: DiscreteGelfandTriple, g: DualVector) -> np.ndarray:
-    if not isinstance(g, DualVector):
-        raise TypeError(f"expected DualVector, got {type(g).__name__}")
-    if len(g) != t.n:
-        raise DimensionMismatch(f"vector has size {len(g)}, triple has {t.n}")
-    return g.action
+    The one owner of the primal/dual divide: every entry point that takes
+    a vector reads it here.  Anything but a ``kind`` (a vector from the
+    other side above all) raises IncompatiblePairing, a wrong size
+    DimensionMismatch.
+    """
+    if not isinstance(vec, kind):
+        raise IncompatiblePairing(f"expected a {kind.__name__}, got {type(vec).__name__}")
+    values = vec.coeffs if kind is PrimalVector else vec.action
+    if values.shape[0] != n:
+        raise DimensionMismatch(f"{kind.__name__} has size {values.shape[0]}, expected {n}")
+    return values
 
 
 def primal_norm(t: DiscreteGelfandTriple, f: PrimalVector) -> float:
     """H-norm of a primal element: sqrt(c^T inner c)."""
-    c = _check_primal(t, f)
+    c = entries(f, PrimalVector, t.n)
     return float(np.sqrt(max(c @ (t.inner @ c), 0.0)))
 
 
@@ -287,16 +287,11 @@ def dual_norm(t: DiscreteGelfandTriple, g: DualVector) -> float:
     This is the discrete version of the sup characterization
     sup_v <g, v> / ||v||_H, attained at v = inner^-1 a.
     """
-    a = _check_dual(t, g)
+    a = entries(g, DualVector, t.n)
     return float(np.sqrt(max(a @ t.inner_solve(a), 0.0)))
 
 
 def pairing(g: DualVector, f: PrimalVector) -> float:
     """Duality pairing <g, f>; plain dot of action against coefficients."""
-    if not isinstance(g, DualVector):
-        raise TypeError(f"pairing needs a DualVector first, got {type(g).__name__}")
-    if not isinstance(f, PrimalVector):
-        raise TypeError(f"pairing needs a PrimalVector second, got {type(f).__name__}")
-    if len(g) != len(f):
-        raise DimensionMismatch(f"sizes differ: {len(g)} vs {len(f)}")
-    return float(g.action @ f.coeffs)
+    a = entries(g, DualVector, len(f))
+    return float(a @ entries(f, PrimalVector, len(a)))

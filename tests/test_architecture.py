@@ -6,6 +6,10 @@ module does not turn a functional into a primal vector either: it measures
 a functional g only through its restrictions E_j^T g and their level L^2
 dual norms.
 
+Only the spaces module tells a primal vector from a dual one: every other
+module reads a vector through ``spaces.entries``, so the primal/dual check
+has one owner.
+
 Dense LAPACK work runs in numpy's OpenBLAS, the one that also runs ``@``:
 scipy loads a second OpenBLAS with its own thread pool, and the two pools
 fight over the cores.  Only the ``scipy.linalg`` names below may appear.
@@ -28,8 +32,6 @@ SCIPY_LINALG_ALLOWED = {
     "cho_solve_banded": "the solve with that banded factor, also unthreaded level-2",
     "eigh": "the generalized pencil in generalized_eig_pairs; moving it to numpy moves seeded dual reports",
     "LinAlgError": "numpy's own exception class, re-exported; catching it calls no LAPACK",
-    "toeplitz": "builds an array from a vector, no BLAS",
-    "hankel": "builds an array from a vector, no BLAS",
 }
 
 
@@ -95,3 +97,37 @@ def test_scipy_linalg_use_stays_inside_the_allowlist():
 ])
 def test_the_allowlist_scan_sees_each_way_in(source):
     assert any(name not in SCIPY_LINALG_ALLOWED for name in scipy_linalg_names(ast.parse(source)))
+
+
+VECTOR_TYPES = {"PrimalVector", "DualVector"}
+
+
+def vector_type_tests(tree):
+    """Each ``isinstance`` call whose type argument names PrimalVector or DualVector, by line.
+
+    The type argument is searched whole, so a tuple of types or an
+    attribute such as ``spaces.DualVector`` counts as well.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & VECTOR_TYPES:
+                yield node.lineno
+
+
+def test_only_spaces_tells_the_vector_sides_apart():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "spaces.py":
+            lines = list(vector_type_tests(ast.parse(path.read_text(encoding="utf-8"))))
+            assert not lines, f"{path.name} tests a vector's side on lines {lines}; use spaces.entries"
+
+
+@pytest.mark.parametrize("source", [
+    "isinstance(vec, PrimalVector)",
+    "if not isinstance(g, DualVector): raise TypeError",
+    "ok = isinstance(v, (PrimalVector, DualVector))",
+    "isinstance(v, spaces.DualVector)",
+])
+def test_the_vector_side_scan_sees_each_way_in(source):
+    assert list(vector_type_tests(ast.parse(source)))

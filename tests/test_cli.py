@@ -9,6 +9,7 @@ import re
 from dataclasses import fields
 
 import jsonschema
+import numpy as np
 import pytest
 
 import framekit.cli as cli
@@ -519,11 +520,32 @@ class TestExitCodes:
         code, payload = run_to_file(tmp_path, [command, "--J", depths, "--format", "csv"])
         assert (code, payload) == (2, b"")
 
+    def test_rates_at_q0_checks_a_flat_bernstein_rate(self, tmp_path):
+        code, payload = run_to_file(tmp_path, ["rates", "--q", "0", "--J", "6"])
+        checks = {c["name"]: c["passed"] for c in json.loads(payload)["checks"]}
+        assert code == 0 and checks == {"jackson_slope": True, "bernstein_flat_at_q0": True}
+
     def test_csv_commands_constant(self):
         assert set(CSV_COMMANDS) == {"rates", "bpx"}
 
 
 class TestRunConfig:
+    def test_an_unknown_command_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="unknown command 'nope'"):
+            run(RunConfig(command="nope"))
+
+    @pytest.mark.parametrize("numpy_config, plain_config", [
+        (dict(command="bpx", j_levels=tuple(np.arange(2, 5)), q=np.float64(0.5)),
+         dict(command="bpx", j_levels=(2, 3, 4), q=0.5)),
+        (dict(command="dual", seed=np.int64(3), samples=np.int64(7)), dict(command="dual", seed=3, samples=7)),
+    ])
+    def test_numpy_scalars_write_the_plain_report(self, tmp_path, numpy_config, plain_config):
+        paths = [tmp_path / "numpy.json", tmp_path / "plain.json"]
+        codes = [run(RunConfig(**config, output=str(path)))
+                 for config, path in zip((numpy_config, plain_config), paths)]
+        assert codes[0] == codes[1]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_fields_are_the_parser_destinations(self):
         dests = {a.dest for command in COMMANDS for a in subparser(command)._actions} - {"help"}
         assert dests | {"command"} == {f.name for f in fields(RunConfig)}

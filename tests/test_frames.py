@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.linalg import subspace_angles
 
@@ -79,6 +80,21 @@ class TestFixtureBounds:
     def test_reweighting_changes_ratio(self):
         assert frame_bounds(fixture_f2()).ratio == pytest.approx(1.0, abs=1e-12)
         assert frame_bounds(fixture_f3()).ratio > 1.0
+
+
+class TestCollectionInput:
+    @pytest.mark.parametrize("elements, error", [
+        pytest.param(np.ones(3), ValueError, id="1-d"),
+        pytest.param(np.ones((2, 4)), DimensionMismatch, id="wrong-row-count"),
+        pytest.param(np.ones((3, 0)), ValueError, id="no-columns"),
+        pytest.param(np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]]), ValueError, id="nan"),
+        pytest.param(np.array([[1.0, 0.0], [np.inf, 1.0], [1.0, 1.0]]), ValueError, id="inf"),
+        pytest.param(sp.csr_array(np.array([[1.0, 0.0], [0.0, -np.inf], [1.0, 1.0]])), ValueError, id="csr-inf"),
+    ])
+    def test_bad_elements_are_refused(self, elements, error):
+        triple = build_triple(2, 1.0)
+        with pytest.raises(error):
+            FrameSpec(triple, elements)
 
 
 class TestAnalysisSynthesis:
@@ -418,6 +434,16 @@ class TestMinNormCoefficients:
             atol=1e-12,
         )
 
+    def test_a_dual_collection_takes_a_functional(self):
+        # the dual of a dual is the frame itself, so <g, psi_k> are the coefficients
+        triple = build_triple(3, 0.5)
+        rng = np.random.default_rng(12)
+        spec = random_frame(rng, triple, 10)
+        g = DualVector(rng.standard_normal(spec.n))
+        c = min_norm_coefficients(dual_frame(spec), g)
+        assert_allclose(c, analysis(spec, g), atol=1e-10)
+        assert_allclose(synthesis(dual_frame(spec), c).action, g.action, atol=1e-10)
+
 
 class TestRieszCheck:
     def test_f1_is_not_riesz(self):
@@ -483,3 +509,7 @@ class TestFixtureRegistry:
         assert by_name("f2").k == 4
         with pytest.raises(DomainError):
             by_name("F9")
+
+    def test_a_random_frame_needs_as_many_columns_as_rows(self):
+        with pytest.raises(ValueError, match="at least 7 columns"):
+            random_spanning_frame(np.random.default_rng(0), 3, 1.0, 6)

@@ -144,6 +144,12 @@ class TestL2Project:
         with pytest.raises(DimensionMismatch):
             l2_project(hy, 0, PrimalVector([1.0]))
 
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_a_level_outside_the_hierarchy_is_refused(self, level):
+        hy = build_hierarchy(2)
+        with pytest.raises(DomainError, match="outside 0..2"):
+            l2_project(hy, level, PrimalVector(np.ones(hy.dims[2])))
+
 
 class TestTelescope:
     def test_increments_sum_to_projection(self):

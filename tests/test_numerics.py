@@ -195,6 +195,10 @@ class TestLargestPrincipalAngle:
 
 
 class TestGeneralizedEigs:
+    def test_mismatched_shapes_are_refused(self):
+        with pytest.raises(DimensionMismatch):
+            generalized_eig_pairs(np.eye(3), np.eye(2))
+
     def test_diagonal_against_identity(self):
         s = generalized_eigs(np.diag([2.0, 1.0]), np.eye(2))
         assert_allclose(s.eigenvalues, [1.0, 2.0])
@@ -340,6 +344,10 @@ class TestMinNormSolve:
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(Inconsistent):
             min_norm_solve(a, [1.0, 1.0])
+
+    def test_wrong_size_rhs_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            min_norm_solve(np.eye(3), [1.0, 2.0])
 
 
 class TestHelpers:

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from framekit.errors import (
     DimensionMismatch,
     DomainError,
+    IncompatiblePairing,
     NoConvergence,
     NotAFrame,
     SingularOperator,
@@ -151,6 +152,12 @@ class TestMatrixRepresentation:
         with pytest.raises(DimensionMismatch):
             matrix_representation(f1, f1, op)
 
+    def test_a_dual_collection_is_refused(self):
+        t = build_triple(3, 1.0)
+        hats = reference_frame(t)
+        with pytest.raises(IncompatiblePairing):
+            matrix_representation(dual_frame(hats), hats, poisson_operator(t))
+
 
 class TestOperatorFromMatrix:
     def test_identity_matrix_with_riesz_pair_is_identity_map(self):
@@ -158,7 +165,7 @@ class TestOperatorFromMatrix:
         hats = reference_frame(t)
         dual = dual_frame(hats)
         rep = operator_from_matrix(hats, dual, np.eye(t.n))
-        assert rep.input_kind == "primal" and rep.output_kind == "primal"
+        assert rep.input_kind is PrimalVector and rep.output_kind is PrimalVector
         assert_allclose(rep.matrix, np.eye(t.n), atol=1e-10)
 
     def test_zero_matrix_is_zero_operator(self):
@@ -172,7 +179,7 @@ class TestOperatorFromMatrix:
         frame, op, t = bpx_setup(4)
         m_inv = inverse_representation(frame, op)
         rep = operator_from_matrix(frame, frame, m_inv)
-        assert rep.input_kind == "dual" and rep.output_kind == "primal"
+        assert rep.input_kind is DualVector and rep.output_kind is PrimalVector
         expected = np.linalg.inv(op.matrix)
         assert np.linalg.norm(rep.matrix - expected) <= 1e-9 * np.linalg.norm(expected)
 
@@ -181,7 +188,7 @@ class TestOperatorFromMatrix:
         dual = dual_frame(frame)
         m = matrix_representation(frame, frame, op)
         rep = operator_from_matrix(dual, dual, m)
-        assert rep.input_kind == "primal" and rep.output_kind == "dual"
+        assert rep.input_kind is PrimalVector and rep.output_kind is DualVector
         assert np.linalg.norm(rep.matrix - op.matrix) <= 1e-9 * np.linalg.norm(op.matrix)
 
     def test_apply_respects_types(self):
@@ -304,6 +311,18 @@ class TestPseudoInverseIdentity:
 
 
 class TestGalerkinSolve:
+    def test_a_frame_of_another_size_is_refused(self):
+        t = build_triple(3, 1.0)
+        with pytest.raises(DimensionMismatch):
+            galerkin_solve(fixture_f1(), poisson_operator(t), manufactured_sine_load(t))
+
+    def test_direct_solution_needs_an_elliptic_operator(self):
+        t = build_triple(3, 1.0)
+        op = make_operator(t, -t.stiffness.a)
+        assert not op.elliptic
+        with pytest.raises(DomainError, match="elliptic"):
+            direct_solution(op, manufactured_sine_load(t))
+
     def test_reference_basis_matches_direct(self):
         t = build_triple(5, 1.0)
         op = poisson_operator(t)
@@ -427,6 +446,11 @@ class TestConditioningStudy:
 
 
 class TestManufacturedProblem:
+    @pytest.mark.parametrize("build", [manufactured_sine_load, manufactured_sine_solution])
+    def test_a_synthetic_triple_has_no_grid(self, build):
+        with pytest.raises(DomainError, match="grid triple"):
+            build(synthetic_triple(np.eye(2)))
+
     def test_load_matches_quadrature_oracle(self):
         t = build_triple(4, 1.0)
         b = manufactured_sine_load(t)

@@ -1,11 +1,23 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from framekit import cli, spaces
-from framekit.errors import DimensionMismatch, DomainError
+from framekit.errors import DimensionMismatch, DomainError, IncompatiblePairing
+from framekit.frames import (
+    analysis,
+    dual_frame,
+    equivalent_inner_product,
+    frame_operator_apply,
+    min_norm_coefficients,
+    reconstruct_dual,
+    reconstruct_primal,
+)
+from framekit.multiscale import bpx_frame, build_hierarchy, l2_project, norm_equivalence_ratio, prolong_to_fine
+from framekit.operator_repr import direct_solution, galerkin_solve, operator_from_matrix, poisson_operator
 from framekit.spaces import (
     DualVector,
     PrimalVector,
@@ -26,12 +38,12 @@ def riesz_image(t, f: PrimalVector) -> DualVector:
     The library never identifies H with H'; the tests use this map to
     contrast the identification-free calculus with the identified one.
     """
-    return DualVector(t.inner @ spaces._check_primal(t, f))
+    return DualVector(t.inner @ spaces.entries(f, PrimalVector, t.n))
 
 
 def riesz_preimage(t, g: DualVector) -> PrimalVector:
     """TEST ORACLE: inverse of riesz_image."""
-    return PrimalVector(t.inner_solve(spaces._check_dual(t, g)))
+    return PrimalVector(t.inner_solve(spaces.entries(g, DualVector, t.n)))
 
 
 def hat_value(x, center, width):
@@ -237,6 +249,71 @@ class TestPairing:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pairing(DualVector([1.0, 2.0]), PrimalVector([1.0, 2.0, 3.0]))
+
+
+class TestEntries:
+    def test_returns_the_stored_values(self):
+        f, g = PrimalVector([1.0, 2.0]), DualVector([3.0, 4.0])
+        assert spaces.entries(f, PrimalVector, 2) is f.coeffs
+        assert spaces.entries(g, DualVector, 2) is g.action
+
+    @pytest.mark.parametrize("vec, kind", [
+        (DualVector([1.0, 2.0]), PrimalVector),
+        (PrimalVector([1.0, 2.0]), DualVector),
+        (np.ones(2), PrimalVector),
+    ])
+    def test_a_vector_of_another_kind_is_refused(self, vec, kind):
+        with pytest.raises(IncompatiblePairing, match=f"expected a {kind.__name__}"):
+            spaces.entries(vec, kind, 2)
+
+    def test_a_wrong_size_is_refused(self):
+        with pytest.raises(DimensionMismatch, match="size 2, expected 3"):
+            spaces.entries(DualVector([1.0, 2.0]), DualVector, 3)
+
+
+def wrong_side_world():
+    """Everything on the 3-node fine grid of a depth-1 hierarchy, with one vector of each side."""
+    hy = build_hierarchy(1)
+    triple = hy.fine_triple(1.0)
+    frame = bpx_frame(hy, 1.0)
+    dual = dual_frame(frame)
+    return SimpleNamespace(
+        hy=hy, triple=triple, frame=frame, dual=dual, op=poisson_operator(triple),
+        rep=operator_from_matrix(frame, frame, np.eye(frame.k)),
+        primal=PrimalVector([1.0, 2.0, 3.0]), dual_vec=DualVector([1.0, 2.0, 3.0]),
+    )
+
+
+# Every public entry point that takes a vector, called with a vector from the other side.
+WRONG_SIDE_CALLS = {
+    "analysis(primal frame)": lambda w: analysis(w.frame, w.primal),
+    "analysis(dual frame)": lambda w: analysis(w.dual, w.dual_vec),
+    "min_norm_coefficients(primal frame)": lambda w: min_norm_coefficients(w.frame, w.dual_vec),
+    "min_norm_coefficients(dual frame)": lambda w: min_norm_coefficients(w.dual, w.primal),
+    "reconstruct_primal": lambda w: reconstruct_primal(w.frame, w.dual, w.dual_vec),
+    "reconstruct_dual": lambda w: reconstruct_dual(w.frame, w.dual, w.primal),
+    "frame_operator_apply": lambda w: frame_operator_apply(w.frame, w.primal),
+    "equivalent_inner_product(f)": lambda w: equivalent_inner_product(w.frame, w.primal, w.dual_vec),
+    "equivalent_inner_product(g)": lambda w: equivalent_inner_product(w.frame, w.dual_vec, w.primal),
+    "primal_norm": lambda w: primal_norm(w.triple, w.dual_vec),
+    "dual_norm": lambda w: dual_norm(w.triple, w.primal),
+    "pairing(g)": lambda w: pairing(w.primal, w.primal),
+    "pairing(f)": lambda w: pairing(w.dual_vec, w.dual_vec),
+    "OperatorSpec.apply": lambda w: w.op.apply(w.dual_vec),
+    "RepresentedOperator.__call__": lambda w: w.rep(w.primal),
+    "galerkin_solve": lambda w: galerkin_solve(w.frame, w.op, w.primal),
+    "direct_solution": lambda w: direct_solution(w.op, w.primal),
+    "l2_project": lambda w: l2_project(w.hy, 0, w.dual_vec),
+    "prolong_to_fine": lambda w: prolong_to_fine(w.hy, 1, w.dual_vec),
+    "norm_equivalence_ratio": lambda w: norm_equivalence_ratio(w.hy, 0.5, w.primal),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_SIDE_CALLS.values(), ids=WRONG_SIDE_CALLS.keys())
+def test_a_vector_from_the_other_side_is_refused_everywhere(call):
+    with pytest.raises(IncompatiblePairing) as refused:
+        call(wrong_side_world())
+    assert isinstance(refused.value, TypeError)
 
 
 class TestVectorConstruction:
