@@ -1,8 +1,9 @@
 """Batch front-end: every study as a subcommand with machine-readable output.
 
 Reports are JSON objects {command, params, results, checks} (CSV for the
-tabular studies).  A run exits 0 when every mathematical check passed,
-2 when one failed (the failing quantity is named in the report), and 1 on
+tabular studies).  A check passes when its value is at most its tolerance,
+unless it states its own verdict.  A run exits 0 when every check passed, 2
+when one failed (the failing quantity is named in the report), and 1 on
 usage errors.  Identical config and seed produce byte-identical payloads.
 
 The configuration is declared once, in ``RunConfig``: each option stores
@@ -10,9 +11,10 @@ into, and takes its default from, the field of its name, and the report's
 params are the fields, renamed where ``PARAM_KEYS`` says so.  Each field also
 declares the values it accepts, and ``run`` checks every field against them,
 whether the config came from argv or was built in code.  ``_SUBCOMMANDS`` has a
-row per subcommand, from which the parser, ``RESULT_SCHEMAS`` and the CSV derive:
-no other option parses, ``run`` refuses a config that sets another field, and an
-unwritable ``--output`` fails first.
+row per subcommand, from which the parser, the CSV and ``RESULT_SCHEMAS`` derive
+(``_schema`` also builds the closed, typed ``REPORT_SCHEMA``): no other option
+parses, ``run`` refuses a config that sets another field, and an unwritable
+``--output`` fails first.
 """
 
 from __future__ import annotations
@@ -128,7 +130,9 @@ class RunConfig:
         return params
 
 
-def _check(name: str, passed: bool, value, tolerance) -> dict:
+def _check(name: str, value, tolerance, passed=None) -> dict:
+    """A report check; it passes when ``value <= tolerance`` unless ``passed`` gives another verdict."""
+    passed = value <= tolerance if passed is None else passed
     return {"name": name, "passed": bool(passed), "value": value, "tolerance": tolerance}
 
 
@@ -169,8 +173,8 @@ def _cmd_bounds(cfg: RunConfig, rng):
         "note": fixtures.FIXTURE_NOTES.get(name),
     }
     checks = [
-        _check("lower_bound_positive", b.lower > 0.0, b.lower, 0.0),
-        _check("bounds_ordered", b.lower <= b.upper, b.ratio, 1.0),
+        _check("lower_bound_positive", b.lower, 0.0, passed=b.lower > 0.0),
+        _check("bounds_ordered", b.ratio, 1.0, passed=b.lower <= b.upper),
     ]
     return results, checks
 
@@ -224,9 +228,9 @@ def _cmd_dual(cfg: RunConfig, rng):
         "reconstruction_deviation": dev_recon,
     }
     checks = [
-        _check("dual_bounds_are_reciprocal", dev_bounds <= 1e-8, dev_bounds, 1e-8),
-        _check("dual_frame_operator_is_inverse", dev_sop <= 1e-9, dev_sop, 1e-9),
-        _check("reconstruction_identities", dev_recon <= 1e-10, dev_recon, 1e-10),
+        _check("dual_bounds_are_reciprocal", dev_bounds, 1e-8),
+        _check("dual_frame_operator_is_inverse", dev_sop, 1e-9),
+        _check("reconstruction_identities", dev_recon, 1e-10),
     ]
     return results, checks
 
@@ -269,7 +273,7 @@ def _cmd_gramian(cfg: RunConfig, rng):
         source = f"bpx(J={j}, q={cfg.q})"
     res = _projector_residuals(frame, rng)
     results = {"frame": source, **res}
-    checks = [_check(name, value <= 1e-10, value, 1e-10) for name, value in res.items()]
+    checks = [_check(name, value, 1e-10) for name, value in res.items()]
     return results, checks
 
 
@@ -287,19 +291,17 @@ def _cmd_rates(cfg: RunConfig, rng):
         "jackson": jackson.to_json_dict(),
         "bernstein": bernstein.to_json_dict(),
     }
-    checks = [
-        _check("jackson_slope", abs(jackson.slope + 2.0) <= 0.15, jackson.slope, "-2 +/- 0.15")
-    ]
+    checks = [_check("jackson_slope", jackson.slope, "-2 +/- 0.15", passed=abs(jackson.slope + 2.0) <= 0.15)]
     values = bernstein.values
     if cfg.q == 0.0:
         dev = max(abs(v - 1.0) for v in values)
-        checks.append(_check("bernstein_flat_at_q0", dev <= 1e-10, dev, 1e-10))
+        checks.append(_check("bernstein_flat_at_q0", dev, 1e-10))
     else:
         lo, hi = _growth_band(cfg.q)
         growth = [values[j + 1] / values[j] for j in range(3, len(values) - 1)]
         ok = all(lo <= gr <= hi for gr in growth) if growth else False
         worst = max(growth, key=lambda gr: abs(gr - 4.0**cfg.q)) if growth else None
-        checks.append(_check("bernstein_growth", ok, worst, f"[{lo}, {hi}]"))
+        checks.append(_check("bernstein_growth", worst, f"[{lo}, {hi}]", passed=ok))
     return results, checks
 
 
@@ -321,8 +323,8 @@ def _cmd_norm_equiv(cfg: RunConfig, rng):
         "homogeneity_deviation": homogeneity,
     }
     checks = [
-        _check("equivalence_spread", spread <= cfg.max_spread, spread, cfg.max_spread),
-        _check("scaling_invariance", homogeneity <= 1e-12, homogeneity, 1e-12),
+        _check("equivalence_spread", spread, cfg.max_spread),
+        _check("scaling_invariance", homogeneity, 1e-12),
     ]
     return results, checks
 
@@ -351,14 +353,11 @@ def _cmd_bpx(cfg: RunConfig, rng):
     ratios = [r["ratio"] for r in rows_data]
     checks = []
     if cfg.q > 0.0:
-        worst = max(ratios)
-        checks.append(
-            _check("bound_ratio_capped", worst <= cfg.max_ratio, worst, cfg.max_ratio)
-        )
+        checks.append(_check("bound_ratio_capped", max(ratios), cfg.max_ratio))
     else:
         increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
         checks.append(
-            _check("ratio_grows_without_scaling", increasing, ratios[-1] / ratios[0], "strictly increasing")
+            _check("ratio_grows_without_scaling", ratios[-1] / ratios[0], "strictly increasing", passed=increasing)
         )
     kappas = [r["kappa_single"] for r in rows_data]
     growth = [b / a for a, b in zip(kappas, kappas[1:])]
@@ -366,7 +365,7 @@ def _cmd_bpx(cfg: RunConfig, rng):
         lo, hi = _growth_band(1.0)
         ok = all(lo <= gr <= hi for gr in growth)
         worst_growth = max(growth, key=lambda gr: abs(gr - 4.0))
-        checks.append(_check("single_level_kappa_growth", ok, worst_growth, f"[{lo}, {hi}]"))
+        checks.append(_check("single_level_kappa_growth", worst_growth, f"[{lo}, {hi}]", passed=ok))
     return results, checks
 
 
@@ -398,14 +397,9 @@ def _cmd_solve_poisson(cfg: RunConfig, rng):
         "min_norm_deviation": mn_diff,
     }
     checks = [
-        _check("matches_direct_solve", err_direct <= 10 * cfg.tol, err_direct, 10 * cfg.tol),
-        _check("min_norm_coefficients", mn_diff <= 10 * cfg.tol, mn_diff, 10 * cfg.tol),
-        _check(
-            "h1_rate_vs_interpolant",
-            err_interp <= 2.0 ** -float(j_max),
-            err_interp,
-            2.0 ** -float(j_max),
-        ),
+        _check("matches_direct_solve", err_direct, 10 * cfg.tol),
+        _check("min_norm_coefficients", mn_diff, 10 * cfg.tol),
+        _check("h1_rate_vs_interpolant", err_interp, 2.0 ** -float(j_max)),
     ]
     return results, checks
 
@@ -428,11 +422,9 @@ def _cmd_identities(cfg: RunConfig, rng):
         results[name] = block
         for key, value in block.items():
             if key == "ritz_min":
-                checks.append(
-                    _check(f"{name}.non_negative", value >= -1e-10, value, -1e-10)
-                )
+                checks.append(_check(f"{name}.non_negative", value, -1e-10, passed=value >= -1e-10))
             else:
-                checks.append(_check(f"{name}.{key}", value <= 1e-8, value, 1e-8))
+                checks.append(_check(f"{name}.{key}", value, 1e-8))
     return results, checks
 
 
@@ -499,32 +491,8 @@ CSV_COMMANDS = tuple(name for name, row in _SUBCOMMANDS.items() if row.table)
 
 # -- report assembly -----------------------------------------------------------
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["command", "params", "results", "checks"],
-    "properties": {
-        "command": {"type": "string", "enum": list(COMMANDS)},
-        "params": {"type": "object"},
-        "results": {"type": "object"},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "passed", "value", "tolerance"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "value": {},
-                    "tolerance": {},
-                },
-            },
-        },
-    },
-}
-
-
 def _schema(shape) -> dict:
-    """The JSON schema of a results shape: every key required and typed, every object closed."""
+    """The JSON schema of a shape (see ``_Command``): every key required and typed, every object closed."""
     if isinstance(shape, dict):
         properties = {key: _schema(value) for key, value in shape.items()}
         return {"type": "object", "required": list(shape), "properties": properties, "additionalProperties": False}
@@ -534,6 +502,9 @@ def _schema(shape) -> dict:
 
 
 RESULT_SCHEMAS = {name: _schema(row.results) for name, row in _SUBCOMMANDS.items()}
+_CHECK = {"name": "string", "passed": "boolean", **dict.fromkeys(("value", "tolerance"), ["number", "string", "null"])}
+REPORT_SCHEMA = _schema({"command": "string", "params": "object", "results": "object", "checks": [_CHECK]})
+REPORT_SCHEMA["properties"]["command"]["enum"] = list(COMMANDS)
 
 
 def render_json(report: dict) -> str:
@@ -570,7 +541,7 @@ def run(config: RunConfig) -> int:
         raise UsageError(str(exc)) from None
     except FramekitError as exc:
         results = {"error": str(exc)}
-        checks = [_check("computation_completed", False, str(exc), None)]
+        checks = [_check("computation_completed", str(exc), None, passed=False)]
     report = {
         "command": config.command,
         "params": config.params_dict(),

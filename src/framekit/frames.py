@@ -36,6 +36,7 @@ from .numerics import (
     SymMatrix,
     cg_solve,
     generalized_eigs,
+    require_finite,
     spd_solver,
 )
 from .spaces import DiscreteGelfandTriple, DualVector, PrimalVector, entries
@@ -55,21 +56,18 @@ class _ElementCollection:
         self._cache: dict = {}
         if sp.issparse(elements):
             columns = sp.csr_array(elements, dtype=float)
-            values = columns.data
+            require_finite(columns.data, "elements")
         else:
-            columns = np.array(elements, dtype=float)
+            columns = require_finite(np.array(elements, dtype=float), "elements")
             if columns.ndim != 2:
                 raise ValueError("elements must be a 2-d array (columns are members)")
             columns.setflags(write=False)
-            values = columns
         if columns.shape[0] != triple.n:
             raise DimensionMismatch(
                 f"elements have {columns.shape[0]} rows, triple has dimension {triple.n}"
             )
         if columns.shape[1] < 1:
             raise ValueError("a collection needs at least one column")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("elements must be finite")
         self.columns = columns
 
     @property

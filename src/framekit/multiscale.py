@@ -8,9 +8,9 @@ r = 2^(J-j) fine cells, with the exact dyadic values 1 - |m|/r at its
 2r - 1 nodes (Oswald 1994), which is r-fold linear interpolation.
 
 Each level stores one sparse form, its restriction E_j^T (CSR), built
-from that closed form and cached.  The embedding E_j is its transpose
-view, with no data of its own, and the multilevel frame stores the CSR
-columns stacked from these views, one block per level in level order.  A
+from that closed form and cached; the embedding E_j is read as
+``restriction(j).T``, and the multilevel frame stores the CSR columns
+stacked from these transposes, one block per level in level order.  A
 fine node lies in at most two hats of any level, so E_j has at most two
 nonzeros per row.  The dense views (``embed_matrix``,
 ``FrameSpec.elements``) equal the dense product of interpolation
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError
 from .frames import FrameBounds, FrameSpec
-from .numerics import PencilSpectrum
+from .numerics import PencilSpectrum, require_finite
 from .spaces import (
     GAMMA,
     DiscreteGelfandTriple,
@@ -64,21 +64,17 @@ class MultiscaleHierarchy:
     def levels(self) -> range:
         return range(self.j_max + 1)
 
-    def level_fine_index(self, j: int) -> int:
-        """Grid level of V_j (mesh width 2^-(j+1))."""
-        return j + 1
-
     def level_h(self, j: int) -> float:
         return 2.0 ** -(j + 1)
 
     def fine_triple(self, q: float = 0.0) -> DiscreteGelfandTriple:
         """Triple on the finest grid, memoized per Sobolev exponent."""
-        return self._triple(self.level_fine_index(self.j_max), q)
+        return self._triple(self.j_max + 1, q)
 
     def level_triple(self, j: int) -> DiscreteGelfandTriple:
-        """L^2 triple on the grid of V_j; the finest level's is ``fine_triple()`` itself."""
+        """L^2 triple on the grid of V_j (grid level j + 1); the finest level's is ``fine_triple()`` itself."""
         self._check_level(j)
-        return self._triple(self.level_fine_index(j), 0.0)
+        return self._triple(j + 1, 0.0)
 
     def _triple(self, j_fine: int, q: float) -> DiscreteGelfandTriple:
         key = ("triple", j_fine, float(q))
@@ -104,13 +100,9 @@ class MultiscaleHierarchy:
             self._cache[key] = sp.csr_array((vals, cols, indptr), shape=(dim, self.dims[self.j_max]))
         return self._cache[key]
 
-    def embedding(self, j: int) -> sp.csc_array:
-        """E_j, taking V_j coefficients to the fine grid: the transpose view of ``restriction(j)``."""
-        return self.restriction(j).T
-
     def embed_matrix(self, j: int) -> np.ndarray:
-        """Dense view of the level embedding E_j (a fresh array per call)."""
-        return self.embedding(j).toarray()
+        """Dense view of the level embedding E_j = ``restriction(j).T`` (a fresh array per call)."""
+        return self.restriction(j).T.toarray()
 
     def _check_level(self, j: int) -> None:
         if not 0 <= j <= self.j_max:
@@ -118,7 +110,7 @@ class MultiscaleHierarchy:
 
 
 def build_hierarchy(j_max: int) -> MultiscaleHierarchy:
-    """Levels 0..j_max (dims 1, 3, ..., 2^(j_max+1) - 1); level embeddings are built on first use."""
+    """Levels 0..j_max (dims 1, 3, ..., 2^(j_max+1) - 1); level restrictions are built on first use."""
     if not 1 <= int(j_max) == j_max <= 10:
         raise DomainError(f"j_max must be an integer in [1, 10], got {j_max}")
     return MultiscaleHierarchy(j_max=j_max, dims=tuple(2 ** (j + 1) - 1 for j in range(j_max + 1)))
@@ -137,8 +129,7 @@ def l2_project(hy: MultiscaleHierarchy, j: int, f: PrimalVector) -> PrimalVector
 
 def prolong_to_fine(hy: MultiscaleHierarchy, j: int, v: PrimalVector) -> PrimalVector:
     """Exact fine-grid representation of a level-j function."""
-    e = hy.embedding(j)
-    return PrimalVector(e @ entries(v, PrimalVector, e.shape[1]))
+    return PrimalVector(hy.restriction(j).T @ entries(v, PrimalVector, hy.dims[j]))
 
 
 def sample_on_fine_grid(hy: MultiscaleHierarchy, f: Callable[[np.ndarray], np.ndarray]) -> PrimalVector:
@@ -234,13 +225,17 @@ def norm_equivalence_ratios(hy: MultiscaleHierarchy, q: float, actions) -> np.nd
     cancels.  Denominator: the squared (H^q)' norm of g.  Both are sine-basis
     dual norms (``grid_dual_norms_sq``): no triple is built, nothing is
     solved.  The ratio stays inside a fixed interval over all g; degree-2
-    homogeneity makes it invariant under scaling g.
+    homogeneity makes it invariant under scaling g.  A non-finite entry is a
+    ValueError and a zero column, whose ratio is 0/0, a DomainError.
     """
     if not 0.0 < q < GAMMA:
         raise DomainError(f"q must lie in (0, {GAMMA}), got {q}")
     g = np.asarray(actions, dtype=float)
     if g.ndim != 2 or g.shape[0] != hy.dims[hy.j_max]:
         raise DimensionMismatch(f"actions have shape {g.shape}, fine grid has {hy.dims[hy.j_max]} nodes")
+    require_finite(g, "functional actions")
+    if not g.any(axis=0).all():
+        raise DomainError("a zero functional has no norm ratio (0/0)")
     numerator = 0.0
     for j in hy.levels:
         weight = 4.0 ** (-j * q) - (4.0 ** (-(j + 1) * q) if j < hy.j_max else 0.0)
@@ -266,7 +261,7 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
     identity for every q, so the verdict is recorded instead of measured.
     An exponent outside [0, 3/2) fails in ``fine_triple``.
     """
-    blocks = [2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * hy.embedding(j)) for j in hy.levels]
+    blocks = [2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * hy.restriction(j).T) for j in hy.levels]
     frame = FrameSpec(hy.fine_triple(q), sp.hstack(blocks, format="csr"))
     frame._cache["spans"] = True
     return frame

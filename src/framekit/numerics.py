@@ -15,7 +15,9 @@ dense: problem sizes stay at desk scale, and transparent kernels are
 easier to cross-check.  A grid triple's own (inner, mass) pencil is
 closed-form (``spaces.grid_spectrum``); these kernels solve it only as
 its oracle.  All operations are pure functions of immutable inputs and
-are safe to call concurrently.
+are safe to call concurrently.  NaN and inf are refused (ValueError)
+where they would enter: ``SymMatrix``, ``Tridiagonal``, a raw array read
+by ``as_dense`` and ``cg_solve``'s right-hand side.
 
 Dense factorizations and eigensolves use ``numpy.linalg``, whose OpenBLAS
 also runs ``@``: scipy loads a second OpenBLAS, whose thread pool fights
@@ -48,10 +50,17 @@ PINV_CUTOFF = 1e-12
 
 
 def as_dense(a) -> np.ndarray:
-    """Plain float ndarray view of a matrix-like object (SymMatrix, Tridiagonal or array)."""
+    """Plain float ndarray view of a matrix-like object (SymMatrix, Tridiagonal or finite array)."""
     if isinstance(a, (SymMatrix, Tridiagonal)):
         return a.a
-    return np.asarray(a, dtype=float)
+    return require_finite(np.asarray(a, dtype=float), "matrix entries")
+
+
+def require_finite(a, what: str):
+    """``a`` itself; ValueError when it holds a NaN or an inf."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite (got NaN or inf)")
+    return a
 
 
 def check_dense_fits(n: int, arrays: int) -> None:
@@ -80,7 +89,7 @@ class SymMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
+        a = require_finite(np.array(self.a, dtype=float), "SymMatrix entries")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("SymMatrix requires a square 2-d array")
         if not np.array_equal(a, a.T):
@@ -113,6 +122,9 @@ class Tridiagonal:
     diag: float
     off: float
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        require_finite([self.diag, self.off], "Tridiagonal values")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -203,7 +215,7 @@ def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
         ab = np.full((2, a.n), [[a.diag], [a.off]], dtype=float)  # LAPACK's lower band
         ab[1, -1] = 0.0
         factor = (scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False), True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    except scipy.linalg.LinAlgError as exc:  # numpy's; as_dense's ValueError for NaN or inf passes through
         raise NotPositiveDefinite(str(exc)) from None
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -272,8 +284,11 @@ def cg_solve(
     is below the attainable accuracy.  NoConvergence is raised then, on
     breakdown and after maxit, with a true relative residual, as the recursive
     one may drift: the lower of the last (re)start's and the best iterate's.
+    A NaN or inf in b is a ValueError, a tol not in (0, inf) a DomainError.
     """
-    rhs = np.asarray(b, dtype=float)
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"CG tolerance must be finite and positive, got {tol}")
+    rhs = require_finite(np.asarray(b, dtype=float), "right-hand side entries")
     nb = float(np.linalg.norm(rhs))
     x = np.zeros_like(rhs)
     if nb == 0.0:
@@ -290,8 +305,8 @@ def cg_solve(
     for k in range(1, maxit + 1):
         ap = apply_op(p)
         pap = float(p @ ap)
-        if pap <= 0.0:
-            # breakdown: direction fell into the numerical kernel
+        if not pap > 0.0:
+            # breakdown: direction fell into the numerical kernel (or the map returned NaN)
             if np.sqrt(rs) <= tol * nb:
                 return x, k - 1
             raise no_convergence(k - 1)

@@ -84,7 +84,7 @@ def make_operator(triple: DiscreteGelfandTriple, matrix) -> OperatorSpec:
     the (L, inner) pencil; the ellipticity flag requires the smallest one
     to be positive.
     """
-    mat = np.array(matrix, dtype=float)
+    mat = as_dense(matrix).copy()  # a NaN or inf is refused here
     if mat.shape != (triple.n, triple.n):
         raise DimensionMismatch(
             f"operator matrix {mat.shape} does not match triple dimension {triple.n}"

@@ -35,6 +35,7 @@ from .numerics import (
     as_dense,
     check_dense_fits,
     generalized_eig_pairs,
+    require_finite,
     spd_solver,
 )
 
@@ -46,8 +47,7 @@ def _frozen_vector(values) -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("expected a 1-d array of values")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite (got NaN or inf)")
+    require_finite(v, "vector entries")
     v.setflags(write=False)
     return v
 

@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
+import sys
 from dataclasses import fields
 
 import jsonschema
@@ -27,6 +29,12 @@ from framekit.cli import (
     run,
 )
 from framekit.errors import NoConvergence
+
+PERFBENCH = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+from workloads import unseeded_cli_ops  # noqa: E402
 
 
 def run_to_file(tmp_path, argv, name="report.json"):
@@ -390,6 +398,71 @@ class TestSchemas:
         from framekit.cli import COMMANDS
 
         assert set(RESULT_SCHEMAS) == set(COMMANDS)
+
+
+# The checks whose verdict is not ``value <= tolerance``; ``<instance>.non_negative`` is the eighth.
+EXPLICIT_VERDICTS = {
+    "lower_bound_positive",
+    "bounds_ordered",
+    "jackson_slope",
+    "bernstein_growth",
+    "ratio_grows_without_scaling",
+    "single_level_kappa_growth",
+    "computation_completed",
+}
+REFERENCE_OPS = unseeded_cli_ops()
+
+
+class TestReportSchema:
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        _, payload = run_to_file(tmp_path_factory.mktemp("report"), ["bounds", "--fixture", "F1"])
+        return json.loads(payload)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.update(extra=0.0),
+            lambda r: r["checks"][0].update(extra=0.0),
+            lambda r: r["checks"][0].update(value=[1.0]),
+            lambda r: r["checks"][0].update(tolerance={"limit": 1.0}),
+            lambda r: r["checks"][0].pop("tolerance"),
+            lambda r: r["checks"][0].update(passed=1),
+            lambda r: r.update(command="nonsense"),
+            lambda r: r.update(params=[]),
+        ],
+        ids=[
+            "extra envelope key",
+            "extra check field",
+            "list value",
+            "object tolerance",
+            "no tolerance",
+            "integer verdict",
+            "unknown command",
+            "params not an object",
+        ],
+    )
+    def test_a_malformed_report_is_rejected(self, report, edit):
+        validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+        assert validator.is_valid(report)
+        broken = copy.deepcopy(report)
+        edit(broken)
+        assert not validator.is_valid(broken)
+
+    def test_a_failed_computation_report_validates(self, tmp_path):
+        code, payload = run_to_file(tmp_path, ["solve-poisson", "--J", "8", "--tol", "2.3e-16"])
+        report = json.loads(payload)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        (check,) = report["checks"]
+        assert code == 2 and check["name"] == "computation_completed"
+        assert (check["passed"], check["tolerance"]) == (False, None) and isinstance(check["value"], str)
+
+    @pytest.mark.parametrize("op", REFERENCE_OPS, ids=[op.label for op in REFERENCE_OPS])
+    def test_a_check_passes_when_its_value_is_within_its_tolerance(self, tmp_path, op):
+        _, payload = run_to_file(tmp_path, list(op.argv))
+        for check in json.loads(payload)["checks"]:
+            if check["name"] not in EXPLICIT_VERDICTS and not check["name"].endswith(".non_negative"):
+                assert check["passed"] == (check["value"] <= check["tolerance"]), check
 
 
 class TestReports:

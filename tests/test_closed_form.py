@@ -102,7 +102,7 @@ def test_bernstein_values_match_dense_pencil_maxima(j_max, q):
         return
     values = bernstein_rate(hy, q).values
     for j, value in zip(hy.levels, values):
-        t = build_triple(hy.level_fine_index(j), q)
+        t = build_triple(j + 1, q)
         inner = spectral_inner_matrix(t.stiffness, t.mass, q)
         assert value == pytest.approx(generalized_eigs(inner, t.mass).max, rel=1e-12)
 

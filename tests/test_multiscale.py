@@ -31,7 +31,7 @@ def dense_projector_ratio(hy, q):
     sum_j 4^(-jq) ||(P_j - P_{j-1}) M^-1 g||_M^2 / g^T H_q^-1 g, with the
     M-orthogonal projectors P_j = E_j (E_j^T M E_j)^-1 E_j^T M formed densely.
     """
-    t = build_triple(hy.level_fine_index(hy.j_max), q)
+    t = build_triple(hy.j_max + 1, q)
     m = t.mass.a
     projectors = []
     for j in hy.levels:
@@ -377,6 +377,22 @@ class TestNormEquivalence:
         assert results["r_min"] == pytest.approx(min(ratios), rel=1e-12)
         assert results["r_max"] == pytest.approx(max(ratios), rel=1e-12)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_a_non_finite_entry_is_refused(self, bad):
+        hy = build_hierarchy(3)
+        block = np.ones((hy.dims[3], 2))
+        block[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            multiscale.norm_equivalence_ratios(hy, 0.5, block)
+
+    def test_a_zero_functional_is_refused(self):
+        # its ratio is 0/0
+        hy = build_hierarchy(3)
+        block = np.ones((hy.dims[3], 3))
+        block[:, 1] = 0.0
+        with pytest.raises(DomainError, match="zero"):
+            multiscale.norm_equivalence_ratios(hy, 0.5, block)
+
     def test_cli_builds_no_fractional_triple(self, monkeypatch, tmp_path):
         def refuse(*args):
             raise AssertionError("a dense H^q Gram matrix was sized")
@@ -519,7 +535,6 @@ class TestBpxBounds:
         def refuse(*args):
             raise AssertionError("frame columns read")
 
-        monkeypatch.setattr(multiscale.MultiscaleHierarchy, "embedding", refuse)
         monkeypatch.setattr(multiscale.MultiscaleHierarchy, "restriction", refuse)
         assert bpx_bounds(build_hierarchy(6), 0.5).lower > 0.0
 

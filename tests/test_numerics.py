@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from framekit.errors import (
     DimensionMismatch,
+    DomainError,
     Inconsistent,
     NoConvergence,
     NotPositiveDefinite,
@@ -12,6 +13,7 @@ from framekit.errors import (
 from framekit.numerics import (
     PencilSpectrum,
     SymMatrix,
+    Tridiagonal,
     cg_solve,
     generalized_eig_pairs,
     generalized_eigs,
@@ -62,6 +64,39 @@ class TestSymMatrix:
         m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.a[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("where", ((1, 1), (0, 2)))
+    def test_rejects_non_finite_entries(self, bad, where):
+        # a symmetric NaN fails the exact-symmetry test and passes the noise test
+        a = np.eye(3)
+        a[where] = a[where[::-1]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix(a)
+
+
+class TestNonFiniteMatrices:
+    @pytest.mark.parametrize("values", ((np.nan, 1.0), (2.0, np.inf), (-np.inf, np.nan)))
+    def test_tridiagonal_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            Tridiagonal(5, *values)
+
+    @pytest.mark.parametrize(
+        "solve",
+        (
+            lambda a: spd_solver(a),
+            lambda a: solve_spd(a, np.ones(3)),
+            lambda a: generalized_eig_pairs(a, np.eye(3)),
+            lambda a: generalized_eig_pairs(np.eye(3), a),
+        ),
+        ids=("spd_solver", "solve_spd", "pencil_a", "pencil_b"),
+    )
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_raw_arrays_are_refused(self, solve, bad):
+        a = 4.0 * np.eye(3)
+        a[2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(a)
 
 
 class TestSolveSpd:
@@ -298,6 +333,54 @@ class TestCgSolve:
             cg_solve(lambda v: a @ v, b, tol=1e-14, maxit=2)
         assert err.value.iterations == 2
         assert err.value.residual > 0
+
+    @pytest.mark.parametrize(
+        "b, tol, error",
+        (
+            ([1.0, np.nan, 0.0], 1e-10, ValueError),
+            ([1.0, np.inf, 0.0], 1e-10, ValueError),
+            ([1.0, 1.0, 1.0], 0.0, DomainError),
+            ([1.0, 1.0, 1.0], -1e-10, DomainError),
+            ([1.0, 1.0, 1.0], np.nan, DomainError),
+            ([1.0, 1.0, 1.0], np.inf, DomainError),
+            ([0.0, 0.0, 0.0], 0.0, DomainError),
+        ),
+        ids=("nan b", "inf b", "tol 0", "negative tol", "nan tol", "inf tol", "tol 0 and b 0"),
+    )
+    def test_bad_input_is_refused_before_the_first_apply(self, b, tol, error):
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return 2.0 * v
+
+        with pytest.raises(error):
+            cg_solve(counted, np.array(b), tol=tol)
+        assert calls == []
+
+    def test_tol_zero_on_the_stiffness_matrix_is_refused_at_once(self):
+        stiffness = build_triple(7, 1.0).stiffness  # 127 nodes
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return stiffness @ v
+
+        with pytest.raises(DomainError):
+            cg_solve(counted, np.ones(127), tol=0.0)
+        assert calls == []
+
+    def test_a_nan_curvature_is_a_breakdown(self):
+        calls = []
+
+        def nan_map(v):
+            calls.append(1)
+            return np.full_like(v, np.nan)
+
+        with pytest.raises(NoConvergence) as err:
+            cg_solve(nan_map, np.ones(4))
+        assert err.value.iterations == 0
+        assert len(calls) == 2  # the first direction, then the true residual of the zero start
 
     def test_restart_that_lowers_the_true_residual_is_kept(self):
         # the first k0 products use a perturbed matrix, so the recursion meets

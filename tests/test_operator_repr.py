@@ -96,6 +96,14 @@ class TestOperatorNorms:
         op = make_operator(t, np.diag([1.0, 0.0]))
         assert op.elliptic is False
 
+    def test_a_non_finite_matrix_is_refused(self):
+        t = build_triple(7, 1.0)  # 127 nodes
+        one_inf = t.stiffness.a.copy()
+        one_inf[3, 3] = np.inf
+        for mat in (np.full((t.n, t.n), np.nan), one_inf):
+            with pytest.raises(ValueError, match="finite"):
+                make_operator(t, mat)
+
 
 class TestMatrixRepresentation:
     def test_reference_basis_reproduces_stiffness(self):
@@ -371,6 +379,11 @@ class TestGalerkinSolve:
         again = galerkin_solve(padded, op, b, tol=1e-9).solution
         diff = primal_norm(t, PrimalVector(base.coeffs - again.coeffs))
         assert diff <= 1e-7 * primal_norm(t, base)
+
+    def test_a_zero_tolerance_is_refused_before_any_iteration(self):
+        frame, op, t = bpx_setup(3)
+        with pytest.raises(DomainError, match="tolerance"):
+            galerkin_solve(frame, op, manufactured_sine_load(t), tol=0.0)
 
     def test_nan_load_is_rejected_before_any_iteration(self):
         # the load must fail at construction, not after maxit CG iterations

