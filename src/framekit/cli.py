@@ -97,7 +97,7 @@ def _at_least(low: int):
 
 
 _EPS = sys.float_info.epsilon  # no float64 residual can reach a smaller tolerance
-_TOLERANCE = _number(Real, f"a finite number of at least {_EPS:.3g}", lambda v: v >= _EPS)
+_TOLERANCE = _number(Real, f"a number of at least {_EPS:.3g} and below 1", lambda v: _EPS <= v < 1.0)
 _POSITIVE = _number(Real, "a finite positive number", lambda v: v > 0.0)
 _LEVELS = (lambda v: isinstance(v, tuple) and all(isinstance(j, Integral) for j in v)), "a tuple of integers"
 _NAME = (lambda v: v is None or isinstance(v, str)), "a fixture name"

@@ -8,11 +8,10 @@ r = 2^(J-j) fine cells, with the exact dyadic values 1 - |m|/r at its
 2r - 1 nodes (Oswald 1994), which is r-fold linear interpolation.
 
 Each level stores one sparse form, its restriction E_j^T (CSR), built
-from that closed form and cached; the embedding E_j is read as
-``restriction(j).T``, and the multilevel frame stores the CSR columns
-stacked from these transposes, one block per level in level order.  A
-fine node lies in at most two hats of any level, so E_j has at most two
-nonzeros per row.  The dense views (``embed_matrix``,
+from that closed form (``_hat``) and cached; the embedding E_j is read
+as ``restriction(j).T``.  The multilevel frame's CSR is assembled from
+the same closed form in one step, row by row: a fine node lies in at
+most two hats of any level.  The dense views (``embed_matrix``,
 ``FrameSpec.elements``) equal the dense product of interpolation
 matrices bit for bit.  The grid mass matrices are ``Tridiagonal``
 (spaces): L^2 projections and Jackson errors multiply by them in O(n),
@@ -83,21 +82,15 @@ class MultiscaleHierarchy:
         return self._cache[key]
 
     def restriction(self, j: int) -> sp.csr_array:
-        """E_j^T as CSR, the one stored form of level j, built once from its closed form.
-
-        With r = 2^(J-j), hat k = 1..dim_j of V_j takes the value 1 - |m|/r
-        at fine node r k - 1 + m (0-based) for |m| < r, so row k holds
-        2r - 1 exact dyadic entries in ascending column order.
-        """
+        """E_j^T as CSR, the one stored form of level j, cached: row k holds hat k's values ``_hat(m, r)``."""
         self._check_level(j)
         key = ("restrict", j)
         if key not in self._cache:
             dim, r = self.dims[j], 2 ** (self.j_max - j)
             m = np.arange(1 - r, r)
             cols = (r * np.arange(1, dim + 1)[:, None] - 1 + m).ravel()
-            vals = np.tile(1.0 - np.abs(m) / r, dim)
             indptr = (2 * r - 1) * np.arange(dim + 1)
-            self._cache[key] = sp.csr_array((vals, cols, indptr), shape=(dim, self.dims[self.j_max]))
+            self._cache[key] = sp.csr_array((np.tile(_hat(m, r), dim), cols, indptr), shape=(dim, self.dims[-1]))
         return self._cache[key]
 
     def embed_matrix(self, j: int) -> np.ndarray:
@@ -107,6 +100,11 @@ class MultiscaleHierarchy:
     def _check_level(self, j: int) -> None:
         if not 0 <= j <= self.j_max:
             raise DomainError(f"level {j} outside 0..{self.j_max}")
+
+
+def _hat(m, r):
+    """The level hats' closed form: at r = 2^(J-j), hat k of level j is 1 - |m|/r at fine node r k - 1 + m."""
+    return 1.0 - np.abs(m) / r
 
 
 def build_hierarchy(j_max: int) -> MultiscaleHierarchy:
@@ -256,13 +254,23 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
     resulting frame stays bounded as j_max grows; at q = 0 it does not
     (the collection is kept available as a negative control).
 
-    The frame is built from its CSR level blocks and keeps them.  It
-    spans by construction: the finest block is a positive multiple of the
-    identity for every q, so the verdict is recorded instead of measured.
-    An exponent outside [0, 3/2) fails in ``fine_triple``.
+    The CSR columns are assembled row by row from ``_hat``.  They span by
+    construction: the finest block is a positive multiple of the identity
+    for every q, so the verdict is recorded instead of measured.  An
+    exponent outside [0, 3/2) fails in ``fine_triple``.
     """
-    blocks = [2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * hy.restriction(j).T) for j in hy.levels]
-    frame = FrameSpec(hy.fine_triple(q), sp.hstack(blocks, format="csr"))
+    n, dims = hy.dims[-1], np.array(hy.dims)
+    data = np.empty((n + 1, hy.j_max + 1, 2))  # [node p = 0..n (0 pads), level j, hat k or k + 1 of p = r k + m]
+    cols = np.empty(data.shape, dtype=np.int32)
+    for j, base in zip(hy.levels, np.cumsum(dims) - dims - 1):  # hat k of level j is column base + k
+        r = 2 ** (hy.j_max - j)  # 0 <= m < r: splitting the node axis into (k, m) is a reshape
+        tent = _hat(np.arange(r)[:, None] - [0, r], r)  # node p lies m and m - r from hats k and k + 1
+        data[:, j].reshape(-1, r, 2)[:] = 2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * tent)
+        cols[:, j].reshape(-1, r, 2)[:] = np.arange(base, base + dims[j] + 1)[:, None, None] + [0, 1]
+        data[:r, j, 0] = data[-r:, j, 1] = 0.0  # hats 0 and dim_j + 1 do not exist
+    keep = data[1:] != 0.0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep.reshape(n, -1), axis=1))))
+    frame = FrameSpec(hy.fine_triple(q), sp.csr_array((data[1:][keep], cols[1:][keep], indptr), shape=(n, dims.sum())))
     frame._cache["spans"] = True
     return frame
 

@@ -112,10 +112,10 @@ class SymMatrix:
 class Tridiagonal:
     """Symmetric tridiagonal Toeplitz matrix: ``diag`` on the diagonal, ``off`` beside it.
 
-    Stored by its two values.  ``t @ x`` runs as three numpy slices (x may
-    be a vector or a block of columns).  The dense view ``a`` is built on
-    first use and cached; it is read-only, and building it first checks
-    that it fits in memory.
+    Stored by its size n >= 1 (else a DomainError) and its two values.
+    ``t @ x`` runs as three numpy slices (x: a vector or a block of
+    columns).  The dense view ``a`` is built on first use and cached; it
+    is read-only, and building it first checks that it fits in memory.
     """
 
     n: int
@@ -124,6 +124,8 @@ class Tridiagonal:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise DomainError(f"Tridiagonal size must be an integer of at least 1, got {self.n!r}")
         require_finite([self.diag, self.off], "Tridiagonal values")
 
     @property
@@ -285,10 +287,13 @@ def cg_solve(
     breakdown and after maxit, with a true relative residual, as the recursive
     one may drift: the lower of the last (re)start's and the best iterate's.
     A NaN or inf in b is a ValueError, a tol not in (0, inf) a DomainError.
+    CG runs on the exact rescaling b / 2^e, 2^e from b's largest entry: no squared norm overflows.
     """
     if not 0.0 < tol < np.inf:
         raise DomainError(f"CG tolerance must be finite and positive, got {tol}")
     rhs = require_finite(np.asarray(b, dtype=float), "right-hand side entries")
+    e = np.frexp(np.abs(rhs).max(initial=0.0))[1]
+    rhs = np.ldexp(rhs, -e)
     nb = float(np.linalg.norm(rhs))
     x = np.zeros_like(rhs)
     if nb == 0.0:
@@ -308,7 +313,7 @@ def cg_solve(
         if not pap > 0.0:
             # breakdown: direction fell into the numerical kernel (or the map returned NaN)
             if np.sqrt(rs) <= tol * nb:
-                return x, k - 1
+                return np.ldexp(x, e), k - 1
             raise no_convergence(k - 1)
         alpha = rs / pap
         x += alpha * p
@@ -321,7 +326,7 @@ def cg_solve(
             true_r = rhs - apply_op(x)
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= tol * nb:
-                return x, k
+                return np.ldexp(x, e), k
             if true_norm >= restart_norm:
                 raise no_convergence(k)
             # recursion drifted from the true residual: restart from it

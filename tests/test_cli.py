@@ -229,7 +229,7 @@ class TestParsing:
         assert main(["solve-poisson", "--J", "3", "--q", q, "--output", str(out)]) == 1
         assert built == [] and not out.exists()
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e-300", "2e-16"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e-300", "2e-16", "1", "1e300"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, monkeypatch, tol):
         argv = ["solve-poisson", "--J", "2", "--tol", tol]
         assert_refused(tmp_path, monkeypatch, argv, command="solve-poisson", j_levels=(2,), tol=float(tol))

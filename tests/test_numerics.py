@@ -81,6 +81,16 @@ class TestNonFiniteMatrices:
         with pytest.raises(ValueError, match="finite"):
             Tridiagonal(5, *values)
 
+    @pytest.mark.parametrize("n", (-3, 0, 2.5, "4", True, None))
+    def test_tridiagonal_refuses_a_size_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match="size"):
+            Tridiagonal(n, 1.0, 0.0)
+
+    def test_tridiagonal_of_size_zero_fails_before_its_factor(self):
+        with pytest.raises(DomainError):
+            spd_solver(Tridiagonal(0, 1.0, 0.0))
+        assert Tridiagonal(np.int64(1), 2.0, 0.0).shape == (1, 1)  # numpy integers are sizes too
+
     @pytest.mark.parametrize(
         "solve",
         (
@@ -381,6 +391,31 @@ class TestCgSolve:
             cg_solve(nan_map, np.ones(4))
         assert err.value.iterations == 0
         assert len(calls) == 2  # the first direction, then the true residual of the zero start
+
+    def test_a_huge_finite_rhs_does_not_overflow(self):
+        with np.errstate(over="raise", invalid="raise"):
+            x, its = cg_solve(lambda v: 2 * v, np.array([1e200, 1e200, 3.0]))
+        assert its == 1
+        assert np.array_equal(x, [5e199, 5e199, 1.5])
+
+    @pytest.mark.parametrize("tol", (1e-8, 1e-12))
+    def test_power_of_two_scaling_of_b_scales_x_bit_for_bit(self, tol):
+        stiffness = build_triple(6, 1.0).stiffness  # 63 nodes
+        b = np.random.default_rng(5).standard_normal(63)
+        x, its = cg_solve(lambda v: stiffness @ v, b, tol=tol)
+        x_big, its_big = cg_solve(lambda v: stiffness @ v, 2.0**40 * b, tol=tol)
+        assert its_big == its
+        assert np.array_equal(x_big, 2.0**40 * x)
+
+    def test_power_of_two_scaling_keeps_a_no_convergence_residual(self):
+        a = random_spd(np.random.default_rng(4), 30) + np.diag(np.logspace(0, 8, 30))
+        b = np.random.default_rng(6).standard_normal(30)
+        residuals = []
+        for scale in (1.0, 2.0**-30, 2.0**40):
+            with pytest.raises(NoConvergence) as err:
+                cg_solve(lambda v: a @ v, scale * b, tol=1e-14, maxit=3)
+            residuals.append((err.value.iterations, err.value.residual))
+        assert residuals[0] == residuals[1] == residuals[2]
 
     def test_restart_that_lowers_the_true_residual_is_kept(self):
         # the first k0 products use a perturbed matrix, so the recursion meets

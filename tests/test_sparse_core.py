@@ -1,4 +1,4 @@
-"""Dense oracles for the sparse multilevel core (depths J <= 8).
+"""Dense oracles for the sparse multilevel core (depths J <= 8; the frame's CSR also at J = 10).
 
 The level restrictions E_j^T (built from the closed form of the level
 hats), whose transposes are the level embeddings, the multilevel frame
@@ -6,7 +6,9 @@ columns, the grid mass and stiffness matrices (``Tridiagonal``), the
 Poisson operator's stored form and banded solve, the frame-Galerkin action
 and the CG minimal-norm coefficients are sparse.  Each test rebuilds the quantity
 the dense way (level embeddings as the product chain of dense
-interpolation matrices) and compares.
+interpolation matrices) and compares.  The frame's CSR, assembled in one
+step, is also compared bit for bit with the scaled level blocks stacked by
+``sp.hstack``.
 """
 
 import os
@@ -25,7 +27,7 @@ from framekit.frames import (
     min_norm_coefficients,
     synthesis,
 )
-from framekit.multiscale import bpx_frame, build_hierarchy
+from framekit.multiscale import MultiscaleHierarchy, bpx_frame, build_hierarchy
 from framekit.numerics import SymMatrix, Tridiagonal, cg_solve, solve_spd, spd_solver
 from framekit.operator_repr import (
     direct_solution,
@@ -103,6 +105,41 @@ def test_bpx_elements_unchanged(j_max, q):
     assert np.array_equal(frame.elements, dense_bpx_elements(hy, q))
     assert sp.issparse(frame.columns)  # a frame built sparse keeps its CSR
     assert np.array_equal(frame.columns.toarray(), frame.elements)
+
+
+def stacked_bpx_columns(hy, q):
+    """Oracle of the one-step build: the scaled ``restriction(j).T`` blocks stacked by ``sp.hstack``."""
+    blocks = [2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * hy.restriction(j).T) for j in hy.levels]
+    return sp.hstack(blocks, format="csr")
+
+
+def assert_same_csr(got, want):
+    assert got.format == want.format == "csr" and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("j_max", [1, 2, 5, 8, 10])
+def test_bpx_csr_equals_the_stacked_level_blocks_bit_for_bit(j_max, q):
+    hy = build_hierarchy(j_max)
+    frame = bpx_frame(hy, q)
+    assert_same_csr(frame.columns, stacked_bpx_columns(hy, q))
+    assert frame.columns.has_sorted_indices
+    assert frame.columns.nnz == np.count_nonzero(frame.elements)  # no stored zeros
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+def test_bpx_frame_builds_no_level_block(monkeypatch, q):
+    hy = build_hierarchy(6)
+    want = stacked_bpx_columns(hy, q)
+
+    def refuse(self, j):
+        raise AssertionError("bpx_frame read a level restriction")
+
+    monkeypatch.setattr(MultiscaleHierarchy, "restriction", refuse)
+    assert_same_csr(bpx_frame(build_hierarchy(6), q).columns, want)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
