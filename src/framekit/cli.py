@@ -99,6 +99,8 @@ def _at_least(low: int):
 _EPS = sys.float_info.epsilon  # no float64 residual can reach a smaller tolerance
 _TOLERANCE = _number(Real, f"a number of at least {_EPS:.3g} and below 1", lambda v: _EPS <= v < 1.0)
 _POSITIVE = _number(Real, "a finite positive number", lambda v: v > 0.0)
+MAX_SAMPLES = 1000  # at this count dual takes about 0.7 s and 70 MB, norm-equiv --J 10 0.7 s and 186 MB
+_SAMPLES = _number(Integral, f"an integer from 1 to {MAX_SAMPLES}", lambda v: 1 <= v <= MAX_SAMPLES)
 _LEVELS = (lambda v: isinstance(v, tuple) and all(isinstance(j, Integral) for j in v)), "a tuple of integers"
 _NAME = (lambda v: v is None or isinstance(v, str)), "a fixture name"
 _PATH = (lambda v: v is None or isinstance(v, (str, os.PathLike))), "a file path"
@@ -117,7 +119,7 @@ class RunConfig:
     output: str | os.PathLike | None = _option(None, "--output", "report path (default: stdout)", _PATH)
     fmt: str = _option("json", "--format", "report format", (FORMATS.__contains__, "json or csv"), choices=FORMATS)
     fixture: Optional[str] = _option(None, "--fixture", "named fixture (F1..F4)", _NAME)
-    samples: int = _option(20, "--samples", "random sample count", _at_least(1), type=int)
+    samples: int = _option(20, "--samples", "random sample count", _SAMPLES, type=int)
     max_ratio: float = _option(60.0, "--max-ratio", "bound-ratio cap checked by bpx", _POSITIVE, type=float)
     max_spread: float = _option(20.0, "--max-spread", "spread cap checked by norm-equiv", _POSITIVE, type=float)
 

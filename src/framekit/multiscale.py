@@ -10,8 +10,8 @@ r = 2^(J-j) fine cells, with the exact dyadic values 1 - |m|/r at its
 Each level stores one sparse form, its restriction E_j^T (CSR), built
 from that closed form (``_hat``) and cached; the embedding E_j is read
 as ``restriction(j).T``.  The multilevel frame's CSR is assembled from
-the same closed form in one step, row by row: a fine node lies in at
-most two hats of any level.  The dense views (``embed_matrix``,
+the same closed form in one step, row by row: a fine node lies in at most two hats of any
+level; so is the H^1 Gram E^T A E (``_h1_gram``) its CG solves run on.  The dense views (``embed_matrix``,
 ``FrameSpec.elements``) equal the dense product of interpolation
 matrices bit for bit.  The grid mass matrices are ``Tridiagonal``
 (spaces): L^2 projections and Jackson errors multiply by them in O(n),
@@ -256,8 +256,9 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
 
     The CSR columns are assembled row by row from ``_hat``.  They span by
     construction: the finest block is a positive multiple of the identity
-    for every q, so the verdict is recorded instead of measured.  An
-    exponent outside [0, 3/2) fails in ``fine_triple``.
+    for every q, so the verdict is recorded instead of measured, and so is
+    the H^1 Gram ``_h1_gram`` with its stiffness.  An exponent outside
+    [0, 3/2) fails in ``fine_triple``.
     """
     n, dims = hy.dims[-1], np.array(hy.dims)
     data = np.empty((n + 1, hy.j_max + 1, 2))  # [node p = 0..n (0 pads), level j, hat k or k + 1 of p = r k + m]
@@ -272,7 +273,39 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep.reshape(n, -1), axis=1))))
     frame = FrameSpec(hy.fine_triple(q), sp.csr_array((data[1:][keep], cols[1:][keep], indptr), shape=(n, dims.sum())))
     frame._cache["spans"] = True
+    frame._cache["gram"] = (frame.triple.stiffness, _h1_gram(hy, q))
     return frame
+
+
+def _h1_gram(hy: MultiscaleHierarchy, q: float) -> sp.csr_array:
+    """E^T A E for the columns E of ``bpx_frame(hy, q)`` and the fine stiffness A, as CSR from its closed form.
+
+    A takes the level-l hat of half-width r = 2^(J-l) centred at fine node c to (-1, 2, -1)/(r h) at its kinks
+    c - r, c, c + r, where a hat of the same or a finer level is 1 if centred there, else 0.  So hats of levels
+    i, l couple only when the finer is centred on a kink of the coarser, with the entry s_i s_l (-1, 2, -1)/(r h)
+    (r the coarser half-width; nothing cancels).  Node c centres the hats of levels J - nu_2(c)..J.
+    """
+    j, n, dims = hy.j_max, hy.dims[-1], np.array(hy.dims)
+    levels = np.arange(j + 1)
+    base = np.cumsum(dims) - dims - 1  # hat k of level l is column base[l] + k
+    lev = np.repeat(levels, dims)
+    c = (np.arange(dims.sum()) - base[lev]) << (j - lev)  # each column's centre node
+    count = np.frexp(c & -c)[1]  # levels J - nu_2(c)..J: nu_2(c) + 1 of them
+    row = np.repeat(np.arange(c.size), count)  # one (row, level l) pair per coupled level
+    l = np.arange(row.size) - np.repeat(np.cumsum(count) - j - 1, count)
+    r = 1 << (j - np.minimum(lev[row], l))  # the coarser half-width
+    nodes = np.empty((row.size, 3), np.int32)  # centres of the level-l hats that couple, if interior
+    nodes[:, 0], nodes[:, 1], nodes[:, 2] = c[row] - r, c[row], c[row] + r
+    keep = (nodes > 0) & (nodes <= n)
+    nodes >>= (j - l)[:, None]
+    nodes += base[l][:, None]  # their columns
+    s = 2.0 ** (-levels * q) * (2.0 * hy.level_h(levels) / 3.0) ** -0.5  # the level scalings
+    v = s[lev[row]] * s[l] * ((n + 1) / r)
+    vals = np.empty(nodes.shape)
+    vals[:, 0], vals[:, 1], vals[:, 2] = -v, 2.0 * v, -v
+    counts = 3 * count - np.bincount(row[np.flatnonzero(~keep) // 3], minlength=c.size)
+    indptr = np.cumsum(np.concatenate(([0], counts)), dtype=np.int32)  # int32 like the nodes: no index copy
+    return sp.csr_array((vals[keep], nodes[keep], indptr), shape=(c.size, c.size))
 
 
 def bpx_bounds(hy: MultiscaleHierarchy, q: float) -> FrameBounds:

@@ -8,9 +8,9 @@ dense consumer asks for it.  Each applies with ``@`` in its stored form.
 ``spd_solver`` factors either (banded Cholesky, refined once per solve to
 the residuals it lists, or dense Cholesky), and ``cg_solve`` takes the
 operator as a callable, so it serves the sparse layers above: the
-minimal-norm coefficients of CSR frames (frames) and the matrix-free
-frame-Galerkin action on the multilevel frame's CSR columns
-(operator_repr).  The eigen- and SVD kernels stay
+minimal-norm coefficients of CSR frames (frames) and frame-Galerkin
+solves (operator_repr), on the multilevel frame's CSR H^1 Gram or its
+columns around another matrix.  The eigen- and SVD kernels stay
 dense: problem sizes stay at desk scale, and transparent kernels are
 easier to cross-check.  A grid triple's own (inner, mass) pencil is
 closed-form (``spaces.grid_spectrum``); these kernels solve it only as
@@ -112,10 +112,10 @@ class SymMatrix:
 class Tridiagonal:
     """Symmetric tridiagonal Toeplitz matrix: ``diag`` on the diagonal, ``off`` beside it.
 
-    Stored by its size n >= 1 (else a DomainError) and its two values.
-    ``t @ x`` runs as three numpy slices (x: a vector or a block of
-    columns).  The dense view ``a`` is built on first use and cached; it
-    is read-only, and building it first checks that it fits in memory.
+    Stored by its size n >= 1 (else a DomainError) and its two values.  ``t @ x`` runs as three
+    numpy slices (x: a vector or block of columns of leading size n, else a DimensionMismatch).
+    The dense view ``a`` is built on first use and cached; it is read-only, and building it
+    first checks that it fits in memory.
     """
 
     n: int
@@ -147,6 +147,8 @@ class Tridiagonal:
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.shape[:1] != (self.n,):
+            raise DimensionMismatch(f"Tridiagonal of size {self.n} applied to an array of shape {x.shape}")
         y = self.diag * x
         y[1:] += self.off * x[:-1]
         y[:-1] += self.off * x[1:]

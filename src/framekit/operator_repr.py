@@ -6,9 +6,10 @@ coefficients to dual actions, entry (i, j) = <O b_j, b_i>.  Its
 representation in a frame is M = E_test^T L E_ansatz; solving the
 (possibly singular but consistent) system M u = C_Psi b by zero-start
 conjugate gradients recovers the minimal-norm coefficient vector, i.e.
-the analysis of the solution with the canonical dual frame.  The solver
-never assembles M: it applies E^T L E with the frame's stored columns
-and the operator's stored form.  The Poisson operator stores the grid
+the analysis of the solution with the canonical dual frame.  On a
+multilevel frame the Poisson M is the H^1 Gram the frame records, so a
+CG step is one CSR product; otherwise the solver applies E^T L E with the
+frame's columns and the operator's stored form.  The Poisson operator stores the grid
 stiffness as a ``Tridiagonal``, so its products are O(n), its direct
 solve is banded and its dense matrix is built only for the dense
 consumers (matrix identities, direct solves, measured constants).
@@ -27,6 +28,7 @@ from .errors import DimensionMismatch, DomainError, IncompatiblePairing, NotAFra
 from .frames import (
     AnySpec,
     FrameSpec,
+    _gram_operator,
     analysis,
     cross_gramian,
     dual_frame,
@@ -310,8 +312,9 @@ def galerkin_solve(
     """Solve O u = b by testing and expanding in the same frame.
 
     Forms the load vector C_Psi b and runs zero-start conjugate gradients
-    on M = Psi^T L Psi, applied matrix-free as v -> E^T (L (E v)) with
-    the frame's ``columns`` and the operator's ``form``.  The system is
+    on M = Psi^T L Psi: one CSR product on the Gram that a multilevel frame
+    records when L is its stiffness, else v -> E^T (L (E v)) with the
+    frame's ``columns`` and the operator's ``form``.  The system is
     singular whenever the frame is redundant, but it is consistent, and
     the zero start makes CG converge to the minimal-norm coefficients
     <u, dual_k>.
@@ -322,21 +325,12 @@ def galerkin_solve(
         raise NotAFrame(f"collection has rank {f.rank} < dimension {f.n}")
     if f.n != op.triple.n:
         raise DimensionMismatch("frame and operator live on different dimensions")
-    e = f.columns
-    e_t = e.T
-    lmat = op.form
-
-    def apply_m(v: np.ndarray) -> np.ndarray:
-        return e_t @ (lmat @ (e @ v))
-
+    apply_m = _gram_operator(f, op.form)
     rhs = analysis(f, b)
     coeffs, iterations = cg_solve(apply_m, rhs, tol=tol)
     nb = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(apply_m(coeffs) - rhs)) / nb if nb > 0 else 0.0
-    u = synthesis(f, coeffs)
-    return GalerkinSolution(
-        coefficients=coeffs, solution=u, iterations=iterations, residual=residual
-    )
+    return GalerkinSolution(coeffs, synthesis(f, coeffs), iterations, residual)
 
 
 # -- manufactured Poisson problem ---------------------------------------------

@@ -91,6 +91,15 @@ class TestNonFiniteMatrices:
             spd_solver(Tridiagonal(0, 1.0, 0.0))
         assert Tridiagonal(np.int64(1), 2.0, 0.0).shape == (1, 1)  # numpy integers are sizes too
 
+    @pytest.mark.parametrize("x", (np.ones(3), np.ones(6), np.ones((3, 2)), np.ones((6, 5)), 1.0))
+    def test_tridiagonal_refuses_an_operand_whose_leading_size_is_not_n(self, x):
+        # Tridiagonal(5, 2.0, -1.0) @ np.ones(3) returned [1, 0, 1]
+        with pytest.raises(DimensionMismatch, match="size 5"):
+            Tridiagonal(5, 2.0, -1.0) @ x
+        t = Tridiagonal(5, 2.0, -1.0)
+        assert np.array_equal(t @ np.ones(5), [1.0, 0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(t @ np.ones((5, 2)), t.a @ np.ones((5, 2)))
+
     @pytest.mark.parametrize(
         "solve",
         (

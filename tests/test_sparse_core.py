@@ -8,7 +8,7 @@ and the CG minimal-norm coefficients are sparse.  Each test rebuilds the quantit
 the dense way (level embeddings as the product chain of dense
 interpolation matrices) and compares.  The frame's CSR, assembled in one
 step, is also compared bit for bit with the scaled level blocks stacked by
-``sp.hstack``.
+``sp.hstack``, and the H^1 Gram E^T A E it records with the dense product.
 """
 
 import os
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from framekit import cli
+from framekit import cli, frames, operator_repr
 from framekit.errors import NotPositiveDefinite
 from framekit.frames import (
     FrameSpec,
@@ -151,6 +151,87 @@ def test_recorded_spans_verdict_equals_the_svd_rank_test(j_max, q):
     assert "sv" not in frame._cache  # the verdict was recorded, not measured
     svd_verdict = FrameSpec(frame.triple, frame.elements).spans
     assert frame.spans == svd_verdict
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("j_max", [1, 2, 5, 8, 9])
+def test_recorded_h1_gram_equals_the_dense_product(j_max, q):
+    frame = bpx_frame(build_hierarchy(j_max), q)
+    stiffness, gram = frame._cache["gram"]
+    assert stiffness is frame.triple.stiffness
+    dense = frame.elements.T @ (stiffness.a @ frame.elements)
+    scale = np.abs(dense).max()
+    # the dense product's rounding grows with the stiffness's condition, ~ eps (n + 1) / 13 at q = 1
+    assert np.abs(gram.toarray() - dense).max() <= np.finfo(float).eps * (frame.n + 1) * scale
+    assert gram.nnz == np.count_nonzero(np.abs(dense) > 1e-10 * scale)  # no cancelled entry is stored
+    assert (gram != gram.T).nnz == 0  # exactly symmetric
+    assert gram.has_sorted_indices
+
+
+class CountingGram:
+    """Stands in for a frame's recorded Gram and counts its products."""
+
+    def __init__(self, gram):
+        self.gram, self.products = gram, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.gram @ v
+
+
+def record_gram_products(frame):
+    stiffness, gram = frame._cache["gram"]
+    frame._cache["gram"] = (stiffness, CountingGram(gram))
+    return frame._cache["gram"][1]
+
+
+def spy_cg_applies(monkeypatch, module, counter):
+    """Count ``module.cg_solve``'s applies, asserting that each is exactly one product on the Gram."""
+    real, applies = module.cg_solve, []
+
+    def cg(apply_op, b, **keywords):
+        def counted(v):
+            before = counter.products
+            out = apply_op(v)
+            assert counter.products == before + 1
+            applies.append(v.shape)
+            return out
+
+        return real(counted, b, **keywords)
+
+    monkeypatch.setattr(module, "cg_solve", cg)
+    return applies
+
+
+@pytest.mark.parametrize("separate", [False, True])
+def test_cg_on_a_q1_multilevel_frame_applies_the_gram_not_the_columns(monkeypatch, separate):
+    hy = build_hierarchy(6)
+    frame = bpx_frame(hy, 1.0)
+    # a stiffness built apart from the frame's, with the same size and values, takes the same path
+    triple = build_triple(hy.j_max + 1, 1.0) if separate else hy.fine_triple(1.0)
+    assert (triple.stiffness is frame.triple.stiffness) != separate
+    op = poisson_operator(triple)
+    b = manufactured_sine_load(triple)
+    counter = record_gram_products(frame)
+    solves = spy_cg_applies(monkeypatch, operator_repr, counter)
+    sol = galerkin_solve(frame, op, b)
+    assert len(solves) > sol.iterations > 0 and set(solves) == {(frame.k,)}
+    min_norm = spy_cg_applies(monkeypatch, frames, counter)
+    coeffs = min_norm_coefficients(frame, direct_solution(op, b))  # the q = 1 inner is the stiffness
+    assert len(min_norm) > 0
+    assert np.linalg.norm(coeffs - sol.coefficients) <= 1e-7 * np.linalg.norm(coeffs)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5])
+def test_other_inner_matrices_apply_the_columns(q):
+    frame = bpx_frame(build_hierarchy(5), q)
+    counter = record_gram_products(frame)
+    f = PrimalVector(np.random.default_rng(7).standard_normal(frame.n))
+    c = min_norm_coefficients(frame, f)  # inner is the mass (q = 0) or dense (q = 0.5): E^T H E
+    scaled = make_operator(frame.triple, 2.0 * frame.triple.stiffness.a)  # not the recorded stiffness
+    galerkin_solve(frame, scaled, manufactured_sine_load(frame.triple))
+    assert counter.products == 0
+    assert np.linalg.norm(synthesis(frame, c).coeffs - f.coeffs) <= 1e-10 * np.linalg.norm(f.coeffs)
 
 
 @pytest.mark.parametrize("j_max", DEPTHS)
