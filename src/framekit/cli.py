@@ -88,8 +88,8 @@ def _option(default, flag: str, help_text: str, valid, **keywords):
 
 
 def _number(kind, wording: str, test=lambda v: True):
-    """The ``valid`` pair of the finite numbers of ``kind`` that pass ``test``."""
-    return (lambda v: isinstance(v, kind) and abs(v) < math.inf and test(v)), wording
+    """The ``valid`` pair of the finite numbers of ``kind`` that pass ``test``; a bool is no number."""
+    return (lambda v: isinstance(v, kind) and not isinstance(v, bool) and abs(v) < math.inf and test(v)), wording
 
 
 def _at_least(low: int):
@@ -101,8 +101,9 @@ _TOLERANCE = _number(Real, f"a number of at least {_EPS:.3g} and below 1", lambd
 _POSITIVE = _number(Real, "a finite positive number", lambda v: v > 0.0)
 MAX_SAMPLES = 1000  # at this count dual takes about 0.7 s and 70 MB, norm-equiv --J 10 0.7 s and 186 MB
 _SAMPLES = _number(Integral, f"an integer from 1 to {MAX_SAMPLES}", lambda v: 1 <= v <= MAX_SAMPLES)
-_LEVELS = (lambda v: isinstance(v, tuple) and all(isinstance(j, Integral) for j in v)), "a tuple of integers"
-_NAME = (lambda v: v is None or isinstance(v, str)), "a fixture name"
+_INTEGER = _number(Integral, "an integer")[0]
+_LEVELS = (lambda v: isinstance(v, tuple) and all(map(_INTEGER, v))), "a tuple of integers"
+_NAME = (lambda v: v is None or isinstance(v, str) and v != ""), "a fixture name"
 _PATH = (lambda v: v is None or isinstance(v, (str, os.PathLike))), "a file path"
 FORMATS = ("json", "csv")
 

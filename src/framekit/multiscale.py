@@ -8,10 +8,11 @@ r = 2^(J-j) fine cells, with the exact dyadic values 1 - |m|/r at its
 2r - 1 nodes (Oswald 1994), which is r-fold linear interpolation.
 
 Each level stores one sparse form, its restriction E_j^T (CSR), built
-from that closed form (``_hat``) and cached; the embedding E_j is read
-as ``restriction(j).T``.  The multilevel frame's CSR is assembled from
-the same closed form in one step, row by row: a fine node lies in at most two hats of any
-level; so is the H^1 Gram E^T A E (``_h1_gram``) its CG solves run on.  The dense views (``embed_matrix``,
+from that closed form laid out hat by hat (``_hats``) and cached; the
+embedding E_j is read as ``restriction(j).T``.  The multilevel frame's
+columns are the same hats, scaled per level and concatenated into one CSC
+array; its H^1 Gram E^T A E (``_h1_gram``), which its CG solves run on,
+has a closed form too.  The dense views (``embed_matrix``,
 ``FrameSpec.elements``) equal the dense product of interpolation
 matrices bit for bit.  The grid mass matrices are ``Tridiagonal``
 (spaces): L^2 projections and Jackson errors multiply by them in O(n),
@@ -81,16 +82,20 @@ class MultiscaleHierarchy:
             self._cache[key] = build_triple(j_fine, q)
         return self._cache[key]
 
+    def _hats(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level j's hats in order, 2r - 1 entries each: hat k's values 1 - |m|/r and their fine nodes r k - 1 + m."""
+        dim, r = self.dims[j], 2 ** (self.j_max - j)
+        m = np.arange(1 - r, r)
+        return np.tile(1.0 - np.abs(m) / r, dim), (r * np.arange(1, dim + 1)[:, None] - 1 + m).ravel()
+
     def restriction(self, j: int) -> sp.csr_array:
-        """E_j^T as CSR, the one stored form of level j, cached: row k holds hat k's values ``_hat(m, r)``."""
+        """E_j^T as CSR, the one stored form of level j, cached: row k holds hat k's entries ``_hats(j)``."""
         self._check_level(j)
         key = ("restrict", j)
         if key not in self._cache:
-            dim, r = self.dims[j], 2 ** (self.j_max - j)
-            m = np.arange(1 - r, r)
-            cols = (r * np.arange(1, dim + 1)[:, None] - 1 + m).ravel()
-            indptr = (2 * r - 1) * np.arange(dim + 1)
-            self._cache[key] = sp.csr_array((np.tile(_hat(m, r), dim), cols, indptr), shape=(dim, self.dims[-1]))
+            values, nodes = self._hats(j)
+            indptr = np.arange(0, values.size + 1, 2 ** (self.j_max - j + 1) - 1)  # 2r - 1 entries per hat
+            self._cache[key] = sp.csr_array((values, nodes, indptr), shape=(self.dims[j], self.dims[-1]))
         return self._cache[key]
 
     def embed_matrix(self, j: int) -> np.ndarray:
@@ -102,14 +107,9 @@ class MultiscaleHierarchy:
             raise DomainError(f"level {j} outside 0..{self.j_max}")
 
 
-def _hat(m, r):
-    """The level hats' closed form: at r = 2^(J-j), hat k of level j is 1 - |m|/r at fine node r k - 1 + m."""
-    return 1.0 - np.abs(m) / r
-
-
 def build_hierarchy(j_max: int) -> MultiscaleHierarchy:
     """Levels 0..j_max (dims 1, 3, ..., 2^(j_max+1) - 1); level restrictions are built on first use."""
-    if not 1 <= int(j_max) == j_max <= 10:
+    if isinstance(j_max, bool) or not isinstance(j_max, (int, np.integer)) or not 1 <= j_max <= 10:
         raise DomainError(f"j_max must be an integer in [1, 10], got {j_max}")
     return MultiscaleHierarchy(j_max=j_max, dims=tuple(2 ** (j + 1) - 1 for j in range(j_max + 1)))
 
@@ -254,24 +254,18 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
     resulting frame stays bounded as j_max grows; at q = 0 it does not
     (the collection is kept available as a negative control).
 
-    The CSR columns are assembled row by row from ``_hat``.  They span by
-    construction: the finest block is a positive multiple of the identity
+    Level j's columns are its hats ``_hats(j)``, scaled; the levels are
+    concatenated into one CSC array, which the frame stores as CSR.  The
+    columns span by construction: the finest block is a positive multiple of the identity
     for every q, so the verdict is recorded instead of measured, and so is
     the H^1 Gram ``_h1_gram`` with its stiffness.  An exponent outside
     [0, 3/2) fails in ``fine_triple``.
     """
-    n, dims = hy.dims[-1], np.array(hy.dims)
-    data = np.empty((n + 1, hy.j_max + 1, 2))  # [node p = 0..n (0 pads), level j, hat k or k + 1 of p = r k + m]
-    cols = np.empty(data.shape, dtype=np.int32)
-    for j, base in zip(hy.levels, np.cumsum(dims) - dims - 1):  # hat k of level j is column base + k
-        r = 2 ** (hy.j_max - j)  # 0 <= m < r: splitting the node axis into (k, m) is a reshape
-        tent = _hat(np.arange(r)[:, None] - [0, r], r)  # node p lies m and m - r from hats k and k + 1
-        data[:, j].reshape(-1, r, 2)[:] = 2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * tent)
-        cols[:, j].reshape(-1, r, 2)[:] = np.arange(base, base + dims[j] + 1)[:, None, None] + [0, 1]
-        data[:r, j, 0] = data[-r:, j, 1] = 0.0  # hats 0 and dim_j + 1 do not exist
-    keep = data[1:] != 0.0
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep.reshape(n, -1), axis=1))))
-    frame = FrameSpec(hy.fine_triple(q), sp.csr_array((data[1:][keep], cols[1:][keep], indptr), shape=(n, dims.sum())))
+    hats = [hy._hats(j) for j in hy.levels]
+    data = [2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * values) for j, (values, _) in enumerate(hats)]
+    widths = np.repeat(2 ** (hy.j_max + 1 - np.arange(hy.j_max + 1)) - 1, hy.dims)  # 2r - 1 entries per hat
+    columns = (np.concatenate(data), np.concatenate([nodes for _, nodes in hats]), np.cumsum(np.r_[0, widths]))
+    frame = FrameSpec(hy.fine_triple(q), sp.csc_array(columns, shape=(hy.dims[-1], sum(hy.dims))))
     frame._cache["spans"] = True
     frame._cache["gram"] = (frame.triple.stiffness, _h1_gram(hy, q))
     return frame

@@ -229,7 +229,7 @@ def build_triple(j_fine: int, q: float) -> DiscreteGelfandTriple:
     Raises DomainError when a fractional-q triple's dense matrices would
     not fit in physical memory.
     """
-    if not 1 <= int(j_fine) == j_fine <= 14:
+    if isinstance(j_fine, bool) or not isinstance(j_fine, (int, np.integer)) or not 1 <= j_fine <= 14:
         raise DomainError(f"j_fine must be an integer in [1, 14], got {j_fine}")
     if not 0.0 <= q < GAMMA:
         raise DomainError(f"q must lie in [0, 3/2) for piecewise-linear hats, got {q}")

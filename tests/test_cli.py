@@ -315,6 +315,15 @@ class TestParsing:
             bad_input(None, command="gramian", q="0.5"),
             bad_input(None, command="rates", j_levels=5),
             bad_input(None, command="bounds", fixture=3),
+            # a bool is no number, though it is an instance of int
+            bad_input(None, command="bpx", q=True, j_levels=(2, 3)),
+            bad_input(None, command="solve-poisson", j_levels=(True,)),
+            bad_input(None, command="dual", seed=True, samples=True),
+            bad_input(None, command="bpx", max_ratio=True),
+            # an empty fixture name names no fixture
+            bad_input(["bounds", "--fixture", ""], command="bounds", fixture=""),
+            bad_input(["gramian", "--fixture", "", "--J", "3"], command="gramian", fixture="", j_levels=(3,)),
+            bad_input(["dual", "--fixture", "", "--samples", "2"], command="dual", fixture="", samples=2),
         ],
     )
     def test_bad_threshold_is_usage_error(self, tmp_path, monkeypatch, argv, config):

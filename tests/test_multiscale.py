@@ -72,11 +72,13 @@ class TestHierarchy:
     def test_dims_j3(self):
         assert build_hierarchy(3).dims == (1, 3, 7, 15)
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            build_hierarchy(0)
-        with pytest.raises(DomainError):
-            build_hierarchy(11)
+    @pytest.mark.parametrize("j_max", [0, 11, 3.0, pytest.param(np.float64(3.0), id="np.float64(3.0)"), True])
+    def test_domain_errors(self, j_max):
+        with pytest.raises(DomainError, match="j_max must be an integer in"):
+            build_hierarchy(j_max)
+
+    def test_numpy_integer_depth_is_a_depth(self):
+        assert build_hierarchy(np.int64(3)).dims == (1, 3, 7, 15)
 
     def test_nesting_exact_against_analytic_hats(self):
         # the embedded coarse hat must equal the tent function sampled on

@@ -103,11 +103,15 @@ class TestBuildTriple:
             product = primal_norm(t0, f) * primal_norm(t1, f)
             assert half <= product * (1.0 + 1e-8)
 
+    @pytest.mark.parametrize("j_fine", [0, 15, 3.0, pytest.param(np.float64(3.0), id="np.float64(3.0)"), True])
+    def test_depth_that_is_not_an_integer_in_range_is_refused(self, j_fine):
+        with pytest.raises(DomainError, match="j_fine must be an integer in"):
+            build_triple(j_fine, 1.0)
+
+    def test_numpy_integer_depth_is_a_depth(self):
+        assert build_triple(np.int64(3), 1.0).n == 7
+
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            build_triple(0, 1.0)
-        with pytest.raises(DomainError):
-            build_triple(15, 1.0)
         with pytest.raises(DomainError):
             build_triple(3, 1.5)
         with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-"""Dense oracles for the sparse multilevel core (depths J <= 8; the frame's CSR also at J = 10).
+"""Dense oracles for the sparse multilevel core (depths J <= 8; the frame's CSR also at J = 9 and 10).
 
 The level restrictions E_j^T (built from the closed form of the level
 hats), whose transposes are the level embeddings, the multilevel frame
@@ -120,8 +120,8 @@ def assert_same_csr(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("j_max", [1, 2, 5, 8, 10])
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.25])
+@pytest.mark.parametrize("j_max", [1, 2, 5, 8, 9, 10])
 def test_bpx_csr_equals_the_stacked_level_blocks_bit_for_bit(j_max, q):
     hy = build_hierarchy(j_max)
     frame = bpx_frame(hy, q)
