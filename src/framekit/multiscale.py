@@ -256,10 +256,10 @@ def bpx_frame(hy: MultiscaleHierarchy, q: float) -> FrameSpec:
 
     Level j's columns are its hats ``_hats(j)``, scaled; the levels are
     concatenated into one CSC array, which the frame stores as CSR.  The
-    columns span by construction: the finest block is a positive multiple of the identity
-    for every q, so the verdict is recorded instead of measured, and so is
-    the H^1 Gram ``_h1_gram`` with its stiffness.  An exponent outside
-    [0, 3/2) fails in ``fine_triple``.
+    columns span by construction: the finest block is a positive multiple
+    of the identity for every q, so the verdict is recorded instead of
+    measured, and so is the H^1 Gram ``_h1_gram`` with its stiffness.  An
+    exponent outside [0, 3/2) fails in ``fine_triple``.
     """
     hats = [hy._hats(j) for j in hy.levels]
     data = [2.0 ** (-j * q) * ((2.0 * hy.level_h(j) / 3.0) ** -0.5 * values) for j, (values, _) in enumerate(hats)]
